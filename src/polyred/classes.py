@@ -126,10 +126,25 @@ def lambda_tuple(B: FiniteSubset, i1: int, i2: int) -> tuple[FieldElement, ...]:
         raise ValueError("lambda tuples need at least 3 elements")
     if i1 == i2 or not (0 <= i1 < n) or not (0 <= i2 < n):
         raise ValueError("anchor indices must be distinct and in range")
-    dinv = (B[i1] - B[i2]).inverse()
-    lams = [(B[i1] - B[j]) * dinv for j in range(n) if j != i1 and j != i2]
+    return _ratios(B, i1, i2, (B[i1] - B[i2]).inverse())
+
+
+def _ratios(B: FiniteSubset, i1: int, i2: int, dinv: FieldElement) -> tuple[FieldElement, ...]:
+    """lambda_tuple(B, i1, i2) given dinv = 1/(b_i1 - b_i2)."""
+    lams = [(B[i1] - B[j]) * dinv for j in range(len(B)) if j != i1 and j != i2]
     lams.sort()
     return tuple(lams)
+
+
+def _all_lambda_tuples(B: FiniteSubset):
+    """lambda_tuple over all n(n-1) ordered anchor pairs, one inverse per
+    unordered pair: 1/(b_i2 - b_i1) is the negated 1/(b_i1 - b_i2)."""
+    n = len(B)
+    for i1 in range(n):
+        for i2 in range(i1 + 1, n):
+            dinv = (B[i1] - B[i2]).inverse()
+            yield _ratios(B, i1, i2, dinv)
+            yield _ratios(B, i2, i1, -dinv)
 
 
 @dataclass(frozen=True)
@@ -152,15 +167,7 @@ def canonical_invariant(B: FiniteSubset) -> ClassInvariant:
     n = len(B)
     if n <= 2:
         return ClassInvariant(n, ())
-    best = None
-    for i1 in range(n):
-        for i2 in range(n):
-            if i1 == i2:
-                continue
-            cand = lambda_tuple(B, i1, i2)
-            if best is None or cand < best:
-                best = cand
-    return ClassInvariant(n, best)
+    return ClassInvariant(n, min(_all_lambda_tuples(B)))
 
 
 def characteristic_lambda_points(B: FiniteSubset) -> set:
@@ -173,14 +180,7 @@ def characteristic_lambda_points(B: FiniteSubset) -> set:
     n = len(B)
     if n < 3:
         raise ValueError("needs at least 3 elements")
-    pts = set()
-    for i1 in range(n):
-        for i2 in range(n):
-            if i1 == i2:
-                continue
-            for perm in permutations(lambda_tuple(B, i1, i2)):
-                pts.add(perm)
-    return pts
+    return {perm for lams in _all_lambda_tuples(B) for perm in permutations(lams)}
 
 
 @dataclass(frozen=True)

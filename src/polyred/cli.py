@@ -40,7 +40,7 @@ def parse_set_text(text: str) -> SetFile:
     if not isinstance(obj, dict):
         raise SetFileError("top level must be an object")
     order = obj.get("cyclotomic_order")
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise SetFileError('"cyclotomic_order" must be a positive integer')
     raw = obj.get("sets")
     if not isinstance(raw, dict) or not raw:

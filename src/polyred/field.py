@@ -4,26 +4,30 @@ Elements are represented in the power basis 1, z, ..., z^(phi(N)-1) where z is
 a primitive N-th root of unity and phi is Euler's totient.  Internally a value
 is a vector of integers plus a single positive denominator, normalized so the
 gcd of all entries and the denominator is 1; this makes the representation
-unique (equality and hashing are structural) and keeps the arithmetic in fast
-integer operations.  The Fraction view of the coordinates is exposed at the
-serialization boundary.
+unique (equality is structural) and keeps the arithmetic in fast integer
+operations.  A rational element hashes like the int or Fraction it equals.
+The Fraction view of the coordinates is exposed at the serialization boundary.
+
+Inversion is integer-only as well: the product of the Galois conjugates of an
+element, divided by its norm.
 
 The comparison operators implement a strict total order: lexicographic on the
 coordinate vector, each coordinate compared by rational value.  It is used
 everywhere a canonical ordering of field elements is needed (sorted sets,
 canonical invariants, deterministic tie-breaks).
 
-Numeric embeddings (``embed``, ``sqrt``) are heuristic helpers built on
-mpmath; exactness never depends on them.  ``sqrt`` reconstructs a candidate
-from high-precision conjugate embeddings and then verifies it exactly, so a
-returned value is always correct, while ``None`` only means "not found within
-the given denominator bound", not a nonexistence proof.
+mpmath is used only by the numeric helpers ``embed`` and ``sqrt``; exactness
+never depends on it.  ``sqrt`` reconstructs a candidate from high-precision
+conjugate embeddings and then verifies it exactly, so a returned value is
+always correct, while ``None`` only means "not found within the given
+denominator bound", not a nonexistence proof.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
@@ -80,30 +84,34 @@ def make_field(order: int) -> "CyclotomicField":
 class CyclotomicField:
     """Q(zeta_N) with exact power-basis arithmetic modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "degree", "modulus", "_fold", "_zeta")
+    __slots__ = ("order", "degree", "modulus", "_powers", "_galois", "_zeta")
 
     def __init__(self, order: int):
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise TypeError(f"cyclotomic order must be an int, got {type(order).__name__}")
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
         self.order = order
         self.modulus = _cyclotomic_coeffs(order)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # _fold[k] = coordinates of z^(d+k) in the power basis, k = 0..d-2;
+        # _powers[j] = coordinates of z^j in the power basis, j = 0..N-1;
         # integer rows because the modulus is monic with integer coefficients.
-        fold: list[tuple[int, ...]] = []
-        row = [-c for c in self.modulus[:d]]
-        fold.append(tuple(row))
-        for _ in range(d - 2):
-            shifted = [0] + row[:-1]
+        # A product folds its overflow z^k through row k mod N, and sigma_k
+        # sends z^j to row jk mod N.
+        top_row = [-c for c in self.modulus[:d]]
+        row = [1] + [0] * (d - 1)
+        powers = []
+        for _ in range(order):
+            powers.append(tuple(row))
             top = row[-1]
-            row = [shifted[i] + top * fold[0][i] for i in range(d)]
-            fold.append(tuple(row))
-        self._fold = tuple(fold)
-        if d == 1:
-            self._zeta = self._make((-self.modulus[0],), 1)
-        else:
-            self._zeta = self._make(tuple([0, 1] + [0] * (d - 2)), 1)
+            row = [0] + row[:-1]
+            if top:
+                row = [r + top * t for r, t in zip(row, top_row)]
+        self._powers = tuple(powers)
+        # exponents k of the nontrivial automorphisms sigma_k: z -> z^k
+        self._galois = tuple(k for k in range(2, order) if math.gcd(k, order) == 1)
+        self._zeta = self._make(powers[1 % order], 1)
 
     def _make(self, num: tuple[int, ...], den: int) -> "FieldElement":
         el = FieldElement.__new__(FieldElement)
@@ -124,6 +132,17 @@ class CyclotomicField:
             num = [v // g for v in num]
             den //= g
         return self._make(tuple(num), den)
+
+    def _conjugate(self, num: tuple[int, ...], k: int) -> "FieldElement":
+        """sigma_k(num): the integer vector num with z replaced by z^k."""
+        n, powers = self.order, self._powers
+        out = [0] * self.degree
+        for j, v in enumerate(num):
+            if v:
+                for i, c in enumerate(powers[j * k % n]):
+                    if c:
+                        out[i] += v * c
+        return self._make(tuple(out), 1)
 
     def element(self, coords) -> "FieldElement":
         """Element from a sequence of ints/Fractions (length <= degree, zero padded)."""
@@ -175,6 +194,16 @@ def _check_same_field(a: "FieldElement", b: "FieldElement"):
     if a.field.order != b.field.order:
         raise FieldMismatchError(
             f"mixed fields Q(zeta_{a.field.order}) and Q(zeta_{b.field.order})")
+
+
+def _fraction_hash(p: int, q: int) -> int:
+    """hash(Fraction(p, q)) for coprime p and q > 1, without building the Fraction."""
+    try:
+        h = hash(hash(abs(p)) * pow(q, -1, sys.hash_info.modulus))
+    except ValueError:  # q is a multiple of the hash modulus
+        h = sys.hash_info.inf
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -275,11 +304,11 @@ class FieldElement:
                     if bj:
                         conv[i + j] += ai * bj
         num = conv[:d]
-        fold = self.field._fold
+        powers, n = self.field._powers, self.field.order
         for k in range(d, 2 * d - 1):
             c = conv[k]
             if c:
-                row = fold[k - d]
+                row = powers[k % n]
                 for i in range(d):
                     if row[i]:
                         num[i] += c * row[i]
@@ -288,23 +317,29 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm against the modulus."""
+        """Multiplicative inverse through the norm, in integer arithmetic only.
+
+        Write self = v/den with v an integer vector.  The conjugates
+        sigma_k(v), z -> z^k for k != 1 in (Z/N)^*, multiply to an integer
+        element P with v*P = N(v), the norm of v: a nonzero rational integer.
+        Hence 1/self = den*P/N(v).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        mod = [Fraction(c) for c in self.field.modulus]
-        a = [Fraction(v, self.den) for v in self.num]
-        while a and a[-1] == 0:
-            a.pop()
-        r0, r1 = mod, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, rem = _fpoly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fpoly_sub(s0, _fpoly_mul(q, s1))
-        # r0 is a nonzero constant: the modulus is irreducible over Q.
-        c = r0[0]
-        inv = [v / c for v in s0]
-        return self.field.element(inv)
+        fld = self.field
+        v = self.num
+        if fld.degree == 1:
+            return fld._normalized([self.den], v[0])
+        prod = None
+        for k in fld._galois:
+            conj = fld._conjugate(v, k)
+            prod = conj if prod is None else prod * conj
+        # N(v) is the constant coordinate of v*P; the others vanish.
+        powers, n = fld._powers, fld.order
+        norm = sum(vi * pj * powers[(i + j) % n][0]
+                   for i, vi in enumerate(v) if vi
+                   for j, pj in enumerate(prod.num) if pj)
+        return fld._normalized([self.den * c for c in prod.num], norm)
 
     def __truediv__(self, other):
         o = self._co(other)
@@ -368,8 +403,15 @@ class FieldElement:
         return False
 
     def __hash__(self):
+        # A rational element equals its int or Fraction value, so it takes
+        # that value's hash (the formula of Python's numeric hash).
         if self._hash is None:
-            self._hash = hash((self.field.order, self.num, self.den))
+            if not self.is_rational():
+                self._hash = hash((self.field.order, self.num, self.den))
+            elif self.den == 1:
+                self._hash = hash(self.num[0])
+            else:
+                self._hash = _fraction_hash(self.num[0], self.den)
         return self._hash
 
     def __bool__(self):
@@ -448,47 +490,3 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in Q(zeta{self.field.order})>"
-
-
-# -- small Fraction-polynomial helpers for the extended Euclid ----------------
-
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    if len(a) < len(b):
-        return [], a
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] / lead
-        q[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    rem = a[: len(b) - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem
-
-
-def _fpoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _fpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    while out and out[-1] == 0:
-        out.pop()
-    return out

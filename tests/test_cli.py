@@ -51,6 +51,7 @@ def test_parse_and_emit_round_trip(F12):
     "{not json",
     '{"sets": {"a": [["0/1","0/1","0/1","0/1"]]}}',
     '{"cyclotomic_order": 0, "sets": {"a": [["0/1"]]}}',
+    '{"cyclotomic_order": true, "sets": {"a": [["0/1"]]}}',
     '{"cyclotomic_order": 12, "sets": {}}',
     '{"cyclotomic_order": 12, "sets": {"a": []}}',
     '{"cyclotomic_order": 12, "sets": {"a": [[0]]}}',

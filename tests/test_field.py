@@ -1,6 +1,7 @@
 """Field layer: modulus construction, arithmetic, ordering, embeddings, sqrt."""
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -25,6 +26,9 @@ def test_make_field_is_cached_and_validated():
         make_field(0)
     with pytest.raises(ValueError):
         make_field(-3)
+    for bad in (True, False, 12.0, "12"):
+        with pytest.raises(TypeError):
+            make_field(bad)
 
 
 def test_zeta_powers_and_orders(F12):
@@ -93,19 +97,26 @@ def test_multiplication_against_sympy_polynomial_reduction(F12):
         assert [sp.Rational(c) for c in got] == want
 
 
-def test_inverse_against_sympy(F4):
+def test_inverse_against_sympy():
     y = sp.Symbol("y")
-    rng = random.Random(23)
-    for _ in range(20):
-        a = _rand_elem(F4, rng, 7)
-        if a.is_zero():
-            continue
-        inv = a.inverse()
-        pa = sp.Poly([sp.Rational(c) for c in reversed(a.coords)], y)
-        got = sp.Poly([sp.Rational(c) for c in reversed(inv.coords)], y)
-        assert ((pa * got) % sp.Poly(y ** 2 + 1, y, domain="QQ")).as_expr() == 1
-    with pytest.raises(ZeroDivisionError):
-        F4.zero().inverse()
+    for order in (2, 4, 7, 12, 13, 16, 17):  # degrees 1, 2, 6, 4, 12, 8, 16
+        F = make_field(order)
+        cyc = sp.Poly(sp.cyclotomic_poly(order, y), y, domain="QQ")
+        rng = random.Random(23 + order)
+        fractional = negative = False
+        for _ in range(8):
+            a = _rand_elem(F, rng, 7)
+            if a.is_zero():
+                continue
+            fractional |= a.den > 1
+            negative |= min(a.num) < 0
+            pa = sp.Poly([sp.Rational(c) for c in reversed(a.coords)], y, domain="QQ")
+            got = sp.Poly([sp.Rational(c) for c in reversed(a.inverse().coords)], y,
+                          domain="QQ")
+            assert got == sp.invert(pa, cyc), (order, a)
+        assert fractional and negative, order
+        with pytest.raises(ZeroDivisionError):
+            F.zero().inverse()
 
 
 def test_total_order_is_consistent(F12):
@@ -204,6 +215,19 @@ def test_hash_consistent_with_equality(F12):
     assert a == Fraction(3, 7) and a != Fraction(2, 7)
     d = {a: "x"}
     assert d[b] == "x"
+
+
+def test_rational_elements_hash_like_their_values(F1, F12):
+    big = sys.hash_info.modulus
+    values = [0, 1, -1, 2, -2, 7, big - 1, big, -big, 3 * big + 5, 10 ** 40,
+              Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7), Fraction(-22, 9),
+              Fraction(1, big), Fraction(-5, 2 * big), Fraction(10 ** 30, 3)]
+    for F in (F1, F12):
+        for q in values:
+            e = F.from_rational(q)
+            assert e == q and hash(e) == hash(q), (F, q)
+            assert q in {e} and e in {q}
+    assert 1 in {F12.one()} and F12.one() in {1}
 
 
 def test_str_forms(F12):
