@@ -155,13 +155,19 @@ class CyclotomicField:
         return self._normalized(num, den)
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([Fraction(q)])
+        """The rational q (an int, or anything Fraction accepts) as an element."""
+        if type(q) is int:
+            p, den = q, 1
+        else:
+            q = Fraction(q)
+            p, den = q.numerator, q.denominator
+        return self._make((p,) + (0,) * (self.degree - 1), den)
 
     def zero(self) -> "FieldElement":
         return self._make((0,) * self.degree, 1)
 
     def one(self) -> "FieldElement":
-        return self.element([1])
+        return self.from_rational(1)
 
     def zeta(self, power: int = 1) -> "FieldElement":
         """zeta_N^power for any integer power."""

@@ -19,16 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import CyclotomicField, FieldElement, _check_same_field
+from .field import CyclotomicField, FieldElement, FieldMismatchError, _check_same_field
 
 NEG_INF = float("-inf")
 
 
 def _coerce(field: CyclotomicField, c) -> FieldElement:
     if isinstance(c, FieldElement):
-        _check_same_field(field.zero(), c)
+        if c.field.order != field.order:
+            raise FieldMismatchError(
+                f"mixed fields Q(zeta_{field.order}) and Q(zeta_{c.field.order})")
         return c
-    return field.from_rational(Fraction(c))
+    return field.from_rational(c)
 
 
 class Poly:

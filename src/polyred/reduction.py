@@ -13,11 +13,19 @@ prefixes whose fiber exceeds gamma elements or whose leading coefficient
 vanishes, then checks the forced values of the remaining elements.  This is
 the plain assignment-plus-interpolation search, just ordered so that shared
 prefixes are interpolated once.
+
+successors enumerates the root data of a prospective witness (a support in A
+with multiplicities) instead of target sets.  A candidate's image set is the
+product of precomputed difference powers (x_t - x_i)^e at each point outside
+the support; the degree window gamma(n-1) <= m-1 and the cap of gamma
+elements per fiber discard most candidates before any polynomial is built,
+and only the survivors reach the certificate.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .classes import ClassInvariant, FiniteSubset, canonical_invariant, equivalent
 from .field import _check_same_field
@@ -257,12 +265,19 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     """The complete finite set of classes reachable from A.
 
     Candidates are built from the root data of a prospective witness: a
-    support I of p <= gamma elements of A with positive multiplicities
+    support I of p <= gamma elements of A with positive multiplicities e_i
     summing to gamma, normalized so the least element j outside I maps to 1
     (other normalizations rescale the image linearly and cannot add classes).
-    Every image set through gamma = m-1 (or max_degree) is tested with the
-    exact preimage certificate and deduplicated by canonical invariant; [A]
-    and the singleton class are appended as trivial entries.
+    The image of each x_t outside I is the product of the precomputed
+    difference powers (x_t - x_i)^e_i, so a candidate costs m - p products of
+    p factors and no polynomial.  Necessary conditions reject most candidates
+    before the certificate: the image set W = {0} U images has 2 <= n < m
+    elements, satisfies the degree window gamma(n-1) <= m-1 (the excess
+    multiplicities of the n fibers are roots of P', so gamma*n - m <= gamma-1)
+    and no fiber over a nonzero value has more than gamma elements.  Every
+    surviving image set through gamma = m-1 (or max_degree) is tested with
+    the exact preimage certificate and deduplicated by canonical invariant;
+    [A] and the singleton class are appended as trivial entries.
     """
     m = len(A)
     if m < 2:
@@ -276,32 +291,59 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     out[sigma1.key()] = SuccessorClass(sigma1, None, True)
     top = m - 1 if max_degree is None else min(m - 1, max_degree)
     zero = field.zero()
+    # powers[t][i][e - 1] = (x_t - x_i)^e for t != i and 1 <= e <= top
+    powers = [[[] for _ in range(m)] for _ in range(m)]
+    for t, i in permutations(range(m), 2):
+        d = xs[t] - xs[i]
+        pw = powers[t][i]
+        pw.append(d)
+        while len(pw) < top:
+            pw.append(pw[-1] * d)
     seen_images = set()
     for gamma in range(2, top + 1):
+        # The degree window gamma(n-1) <= m-1; for gamma >= 2 it implies n < m.
+        max_n = 1 + (m - 1) // gamma
         for p in range(1, min(gamma, m - 1) + 1):
             for I in combinations(range(m), p):
                 in_support = set(I)
                 others = [j for j in range(m) if j not in in_support]
-                # The choice of j only rescales the image (c = 1/base(x_j)),
-                # so one representative per support suffices for classes.
-                j = others[0]
+                # The witness sends j = others[0] to 1 (c = 1/base(x_j)); the
+                # choice of j only rescales the image, so one representative
+                # per support suffices for classes.
                 for mults in compositions(gamma, p):
-                    base = Poly.from_roots(field,
-                                           [(xs[i], e) for i, e in zip(I, mults)])
-                    imgs = {zero} | {base(xs[t]) for t in others}
-                    if not 2 <= len(imgs) < m:
+                    roots = list(zip(I, mults))
+                    values = []
+                    for t in others:
+                        row = powers[t]
+                        i, e = roots[0]
+                        v = row[i][e - 1]
+                        for i, e in roots[1:]:
+                            v = v * row[i][e - 1]
+                        values.append(v)
+                    fiber_sizes = Counter(values)
+                    # The window depends only on (gamma, n), so an image set
+                    # it rejects is rejected again at every later gamma and
+                    # may skip the dedup.  The fiber cap depends on the
+                    # candidate, so it runs after the dedup: each image set is
+                    # judged by its first candidate only.
+                    n = len(fiber_sizes) + 1
+                    if not 2 <= n <= max_n:
                         continue
-                    W = FiniteSubset(field, imgs)
-                    if W.elems in seen_images:
+                    images = frozenset(fiber_sizes)
+                    if images in seen_images:
                         continue
-                    seen_images.add(W.elems)
+                    seen_images.add(images)
+                    if max(fiber_sizes.values()) > gamma:
+                        continue
+                    base = Poly.from_roots(field, [(xs[i], e) for i, e in roots])
+                    W = FiniteSubset(field, [zero, *images])
                     if _fiber_certificate(base, A, W) is None:
                         continue
                     inv = canonical_invariant(W)
                     key = inv.key()
                     if key in out:
                         continue
-                    c = base(xs[j]).inverse()
+                    c = values[0].inverse()
                     P = base * c
                     B = W.map(lambda x: c * x)
                     fibers = _fiber_certificate(P, A, B)

@@ -1,12 +1,15 @@
 """Command-line interface: schema, payloads, exit codes, poset output."""
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polyred import FiniteSubset, make_field, roots_of_unity
 from polyred.cli import (SetFile, SetFileError, build_poset, emit_set_file,
                          main, parse_set_text)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _encode_set(F, vals):
@@ -164,6 +167,17 @@ def test_successors_payload(tmp_path, capsys):
     code, out, _ = _run(capsys, ["successors", "-f", f, "A", "--max-degree", "1"])
     obj = json.loads(out)
     assert code == 0 and all(sc["trivial"] for sc in obj["successors"])
+
+
+def test_successors_stdout_pinned(tmp_path, capsys):
+    """Witness coefficients and fibers of `successors` on mu_4 with 0, byte for byte."""
+    F = make_field(4)
+    S = FiniteSubset(F, [F.zero()] + list(roots_of_unity(F, 4)))
+    p = tmp_path / "mu4_0.json"
+    p.write_text(json.dumps({"cyclotomic_order": 4, "sets": {"A": S.encode()}}))
+    code, out, _ = _run(capsys, ["successors", "-f", str(p), "A"])
+    assert code == 0
+    assert out == (DATA / "successors_mu4_0.json").read_text()
 
 
 def test_predecessor_payload_and_error(tmp_path, capsys):

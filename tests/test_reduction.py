@@ -1,6 +1,7 @@
 """Reducibility: degree windows, certificates, searches, successors."""
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -218,6 +219,58 @@ def test_successors_degree_cap(F12):
             assert sc.witness.gamma <= 2
     with pytest.raises(ValueError):
         successors(_fs(F12, [3]))
+
+
+def test_successor_filters_never_reject_a_witness(F1, F4):
+    """Every candidate the certificate accepts satisfies the successor filters.
+
+    For each support and composition the image set W = P(A) of the root
+    product P is certified directly; whenever it passes, the degree window
+    gamma(|W|-1) <= m-1 holds and no fiber has more than gamma elements."""
+    rng = random.Random(620)
+    samples = [_fs(F1, [0, 1, -1, 2, -2]),
+               FiniteSubset(F4, [F4.zero()] + list(roots_of_unity(F4, 4)))]
+    samples += [rand_rational_set(F1, rng, m, span=4, den=2) for m in (4, 5, 5, 6, 6)]
+    passed = 0
+    for A in samples:
+        m = len(A)
+        for gamma in range(2, m):
+            for p in range(1, min(gamma, m - 1) + 1):
+                for I in combinations(range(m), p):
+                    for mults in compositions(gamma, p):
+                        P = Poly.from_roots(A.field, [(A[i], e)
+                                                      for i, e in zip(I, mults)])
+                        values = [P(a) for a in A]
+                        W = FiniteSubset(A.field, set(values))
+                        if len(W) < 2 or not check_exact_preimage(P, A, W):
+                            continue
+                        passed += 1
+                        assert gamma * (len(W) - 1) <= m - 1
+                        assert max(values.count(w) for w in W) <= gamma
+    assert passed > 0
+
+
+# Class keys the exhaustive enumeration (Poly.from_roots, Horner and the
+# certificate on every candidate) returns for these 8-sets.
+_ARITH8_KEYS = {'{"lambdas":[["-5/1","0/1","0/1","0/1"],["-2/1","0/1","0/1","0/1"]],"n":4}'}
+_MU8_KEYS = {'{"lambdas":[["0/1","0/1","-1/1","0/1"],["1/1","0/1","-1/1","0/1"]],"n":4}',
+             '{"lambdas":[],"n":2}'}
+
+
+def test_successors_at_m8(F8):
+    arith = _fs(F8, range(-3, 5))
+    mu8 = roots_of_unity(F8, 8)
+    for A, want in [(arith, _ARITH8_KEYS), (mu8, _MU8_KEYS)]:
+        res = successors(A)
+        got = {sc.invariant.key() for sc in res if not sc.trivial}
+        assert got == want
+        for sc in res:
+            if not sc.trivial:
+                r = sc.witness
+                assert r.source == A
+                assert check_exact_preimage(r.poly, r.source, r.target)
+    for d in (4, 2):  # mu_8 -> mu_d under X^(8/d)
+        assert canonical_invariant(roots_of_unity(F8, d)).key() in got
 
 
 def _symmetric_set(F, rng, k, with_zero):
