@@ -264,7 +264,7 @@ def _cmd_successors(args):
 def _cmd_predecessor(args):
     sf = parse_set_file(args.file)
     B = _get(sf, args.label)
-    A = predecessor_2n_minus_1(B, denominator_bound=args.denominator_bound)
+    A = predecessor_2n_minus_1(B)
     Bn, _ = normalize_to_contain_0_1(B)
     payload = {"elements": A.encode(), "normalized_target": Bn.encode()}
     return payload, f"predecessor has {len(A)} elements"
@@ -400,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_file(sub.add_parser("predecessor",
                                  help="quadratic predecessor of size 2n-1"))
     p.add_argument("label")
-    p.add_argument("--denominator-bound", type=int, default=10 ** 6, metavar="B",
-                   help="square-root reconstruction bound")
     p.set_defaults(handler=_cmd_predecessor)
 
     p = with_file(sub.add_parser("sigma3", help="projective 3-set coordinate"))

@@ -11,28 +11,28 @@ The Fraction view of the coordinates is exposed at the serialization boundary.
 Inversion is integer-only as well: the product of the Galois conjugates of an
 element, divided by its norm.
 
+``sqrt`` is a decision procedure in integer arithmetic: it takes square roots
+modulo a prime, Hensel-lifts them past a proven coefficient bound and checks
+the candidates exactly, so ``None`` proves that the element is not a square.
+
 The comparison operators implement a strict total order: lexicographic on the
 coordinate vector, each coordinate compared by rational value.  It is used
 everywhere a canonical ordering of field elements is needed (sorted sets,
 canonical invariants, deterministic tie-breaks).
 
-mpmath is used only by the numeric helpers ``embed`` and ``sqrt``; exactness
-never depends on it.  ``sqrt`` reconstructs a candidate from high-precision
-conjugate embeddings and then verifies it exactly, so a returned value is
-always correct, while ``None`` only means "not found within the given
-denominator bound", not a nonexistence proof.
+``embed`` is a double-precision display helper; nothing exact depends on it.
+The module uses the standard library only.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import random
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-
-import mpmath
-from mpmath import mp
 
 
 class FieldMismatchError(ValueError):
@@ -84,7 +84,7 @@ def make_field(order: int) -> "CyclotomicField":
 class CyclotomicField:
     """Q(zeta_N) with exact power-basis arithmetic modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "degree", "modulus", "_powers", "_galois", "_zeta")
+    __slots__ = ("order", "degree", "modulus", "_powers", "_galois", "_zeta", "_sqrt")
 
     def __init__(self, order: int):
         if not isinstance(order, int) or isinstance(order, bool):
@@ -112,6 +112,7 @@ class CyclotomicField:
         # exponents k of the nontrivial automorphisms sigma_k: z -> z^k
         self._galois = tuple(k for k in range(2, order) if math.gcd(k, order) == 1)
         self._zeta = self._make(powers[1 % order], 1)
+        self._sqrt = None  # _SqrtData, built by the first FieldElement.sqrt
 
     def _make(self, num: tuple[int, ...], den: int) -> "FieldElement":
         el = FieldElement.__new__(FieldElement)
@@ -132,6 +133,26 @@ class CyclotomicField:
             num = [v // g for v in num]
             den //= g
         return self._make(tuple(num), den)
+
+    def _product(self, a, b) -> list[int]:
+        """Coordinates of the product of two integer coordinate vectors."""
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        num = conv[:d]
+        powers, n = self._powers, self.order
+        for k in range(d, 2 * d - 1):
+            c = conv[k]
+            if c:
+                row = powers[k % n]
+                for i in range(d):
+                    if row[i]:
+                        num[i] += c * row[i]
+        return num
 
     def _conjugate(self, num: tuple[int, ...], k: int) -> "FieldElement":
         """sigma_k(num): the integer vector num with z replaced by z^k."""
@@ -212,14 +233,170 @@ def _fraction_hash(p: int, q: int) -> int:
     return -2 if h == -1 else h
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    if not mpmath.isfinite(x):
-        raise ArithmeticError("non-finite value in rational reconstruction")
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(int(man)) * Fraction(2) ** exp
-    return -v if sign else v
+# -- square roots: polynomials over F_p and the per-field data -----------------
+# A polynomial over F_p is a list of residues, ascending, with no trailing
+# zero; [] is the zero polynomial.
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the nonzero b over F_p."""
+    r = [c % p for c in a]
+    db = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * lead_inv % p
+        if c:
+            q[k] = c
+            for i, bi in enumerate(b):
+                r[k + i] = (r[k + i] - c * bi) % p
+    return _trim(q), _trim(r[:db])
+
+
+def _poly_mulmod(a, b, h, p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    return _poly_divmod(prod, h, p)[1]
+
+
+def _poly_powmod(a, e: int, h, p: int) -> list[int]:
+    result, base = [1], _poly_divmod(a, h, p)[1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, base, h, p)
+        e >>= 1
+        if e:
+            base = _poly_mulmod(base, base, h, p)
+    return result
+
+
+def _poly_gcd(a, b, p: int) -> list[int]:
+    """Monic gcd of a and b over F_p, not both zero."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    lead_inv = pow(a[-1], -1, p)
+    return [c * lead_inv % p for c in a]
+
+
+def _split_equal_degree(h, f: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Irreducible factors of the squarefree monic h over F_p (p odd), all of
+    degree f: Cantor-Zassenhaus, splitting by gcd(h, a^((p^f - 1)/2) - 1)."""
+    if len(h) - 1 == f:
+        return [h]
+    e = (p ** f - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(h) - 1)])
+        if len(a) < 2:
+            continue
+        u = _poly_powmod(a, e, h, p) or [0]
+        u[0] = (u[0] - 1) % p
+        g = _poly_gcd(h, _trim(u), p)
+        if 1 < len(g) < len(h):
+            return (_split_equal_degree(g, f, p, rng)
+                    + _split_equal_degree(_poly_divmod(h, g, p)[0], f, p, rng))
+
+
+def _multiplicative_order(k: int, n: int) -> int:
+    e, x = 1, k % n
+    while x != 1 % n:
+        x, e = x * k % n, e + 1
+    return e
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+class _SqrtPrime:
+    """Phi_N modulo an odd prime p of order f modulo N, which splits it into
+    g = phi(N)/f irreducible factors h_i of degree f; F_q = F_p[x]/h_i with
+    q = p^f.  Holds the factors, the CRT idempotents e_i (e_i = 1 mod h_i,
+    0 mod the others) and, per factor, a generator of the 2-Sylow subgroup of
+    F_q^* for Tonelli-Shanks.  Random choices are seeded from p."""
+
+    __slots__ = ("p", "q", "modulus", "factors", "idempotents", "two_adic", "odd_part",
+                 "sylow")
+
+    def __init__(self, modulus: tuple[int, ...], p: int, f: int):
+        rng = random.Random(p)
+        phi = _trim([c % p for c in modulus])
+        self.p, self.q, self.modulus = p, p ** f, phi
+        self.factors = sorted(_split_equal_degree(phi, f, p, rng))
+        self.idempotents = []
+        for h in self.factors:
+            rest = _poly_divmod(phi, h, p)[0]
+            inv = _poly_powmod(rest, self.q - 2, h, p)
+            self.idempotents.append(_poly_mulmod(rest, inv, phi, p))
+        s, t = 0, self.q - 1
+        while not t & 1:
+            s, t = s + 1, t >> 1
+        self.two_adic, self.odd_part = s, t
+        self.sylow = []
+        for h in self.factors:
+            while True:
+                n = _trim([rng.randrange(p) for _ in range(f)])
+                if n and _poly_powmod(n, (self.q - 1) // 2, h, p) != [1]:
+                    break
+            self.sylow.append(_poly_powmod(n, t, h, p))
+
+    def sqrt_mod(self, a, i: int):
+        """A square root of the nonzero a in F_p[x]/h_i, or None when a is a
+        non-residue there (Tonelli-Shanks; the first step is Euler's test)."""
+        h, p, m = self.factors[i], self.p, self.two_adic
+        c = self.sylow[i]
+        x = _poly_powmod(a, (self.odd_part + 1) // 2, h, p)
+        b = _poly_powmod(a, self.odd_part, h, p)
+        while b != [1]:
+            j, b2 = 0, b
+            while b2 != [1]:
+                b2, j = _poly_mulmod(b2, b2, h, p), j + 1
+                if j == m:
+                    return None
+            w = _poly_powmod(c, 1 << (m - j - 1), h, p)
+            x = _poly_mulmod(x, w, h, p)
+            c = _poly_mulmod(w, w, h, p)
+            b = _poly_mulmod(b, c, h, p)
+            m = j
+        return x
+
+
+class _SqrtData:
+    """Per-field data for FieldElement.sqrt: the coefficient-bound constant and
+    the primes of maximal order modulo N, found as needed."""
+
+    __slots__ = ("field", "exponent", "bound", "primes")
+
+    def __init__(self, field: "CyclotomicField"):
+        n = field.order
+        self.field = field
+        # the exponent of (Z/N)^*: the largest order, attained by some unit
+        self.exponent = math.lcm(*(_multiplicative_order(k, n)
+                                   for k in range(1, n + 1) if math.gcd(k, n) == 1))
+        # |Y_j| <= d * L1(Phi_N) * L1(1/Phi_N'(zeta)) * sqrt(L1(Y^2)); see sqrt
+        phi = field.modulus
+        w = field.element([i * c for i, c in enumerate(phi) if i]).inverse()
+        self.bound = Fraction(field.degree * sum(map(abs, phi)) * sum(map(abs, w.num)),
+                              w.den)
+        self.primes = []
+
+    def prime(self, index: int) -> _SqrtPrime:
+        """The index-th odd prime p, p not dividing N, with ord_N(p) = exponent."""
+        n = self.field.order
+        while len(self.primes) <= index:
+            p = self.primes[-1].p + 2 if self.primes else 3
+            while not (n % p and _is_prime(p)
+                       and _multiplicative_order(p, n) == self.exponent):
+                p += 2
+            self.primes.append(_SqrtPrime(self.field.modulus, p, self.exponent))
+        return self.primes[index]
 
 
 @total_ordering
@@ -301,24 +478,8 @@ class FieldElement:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        a, b = self.num, o.num
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        num = conv[:d]
-        powers, n = self.field._powers, self.field.order
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = powers[k % n]
-                for i in range(d):
-                    if row[i]:
-                        num[i] += c * row[i]
-        return self.field._normalized(num, self.den * o.den)
+        fld = self.field
+        return fld._normalized(fld._product(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -424,61 +585,90 @@ class FieldElement:
         return not self.is_zero()
 
     # -- numeric --------------------------------------------------------------
-    def embed(self, precision: int = 53):
-        """Complex floating approximation at the principal embedding zeta -> e^(2*pi*i/N).
+    def embed(self) -> complex:
+        """Double-precision value at the principal embedding zeta -> e^(2*pi*i/N).
 
-        Heuristic guidance only; never an exactness source.
+        For display and tests only; never a source of exactness.
         """
-        with mp.workprec(max(precision, 53) + 16):
-            z = mpmath.expjpi(mpmath.mpf(2) / self.field.order)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.num):
-                acc = acc * z + c
-            return acc / self.den
+        z = cmath.exp(2j * cmath.pi / self.field.order)
+        acc = 0j
+        for c in reversed(self.num):
+            acc = acc * z + c / self.den
+        return acc
 
-    def sqrt(self, denominator_bound: int = 10 ** 6, precision: int = 256):
-        """A y with y*y = self, or None if no candidate is found and verified.
+    def sqrt(self) -> "FieldElement | None":
+        """The square root of self in Q(zeta_N), or None, which proves that self
+        is not a square.  Of the two roots +-y the larger in the total order is
+        returned.
 
-        Search: take high-precision square roots of all conjugate embeddings,
-        enumerate the sign ambiguity, solve back for power-basis coordinates,
-        reconstruct each coordinate as a rational with denominator at most
-        denominator_bound (continued fractions), and verify exactly.  None
-        means "not found within the bound", not a nonexistence certificate.
+        Write self = v/c with v an integer vector and put B = c*v.  A root is
+        y = Y/c with Y^2 = B, so Y is an algebraic integer: it lies in
+        Z[zeta_N], the ring of integers, and has integer coordinates.
+        Lagrange interpolation at the conjugates, where |sigma_k(Y)| =
+        sqrt|sigma_k(B)| <= sqrt(L1(B)), bounds them:
+        |Y_j| <= d * L1(Phi_N) * L1(1/Phi_N'(zeta)) * sqrt(L1(B)).
+
+        Modulo an odd prime p of maximal order modulo N, Phi_N has g factors
+        h_i.  If B is a non-residue modulo some h_i, it is not a square.
+        Otherwise the roots modulo the h_i, with the sign fixed at h_1, give
+        2^(g-1) candidates for 1/Y mod p.  Each is lifted by Newton's step
+        z <- z(3 - B z^2)/2 until p^k exceeds twice the bound, and Y = B z in
+        symmetric residues is accepted when it is within the bound and
+        Y*Y == B.  A root of B is, up to sign, one of these lifts, so when
+        none is accepted B is not a square.
         """
         if self.is_zero():
             return self
         fld = self.field
-        d, n = fld.degree, fld.order
-        units = [t for t in range(1, n + 1) if math.gcd(t, n) == 1]
-        with mp.workprec(precision + 48):
-            ztab = [mpmath.expjpi(mpmath.mpf(2 * t) / n) for t in units]
-            vmat = mpmath.matrix(d, d)
-            for r, z in enumerate(ztab):
-                p = mpmath.mpc(1)
-                for c in range(d):
-                    vmat[r, c] = p
-                    p = p * z
-            roots = []
-            for z in ztab:
-                acc = mpmath.mpc(0)
-                for c in reversed(self.num):
-                    acc = acc * z + c
-                roots.append(mpmath.sqrt(acc / self.den))
-            tol = mpmath.mpf(2) ** (-(precision // 2))
-            for signs in itertools.product((1, -1), repeat=d - 1):
-                rhs = mpmath.matrix([roots[0]]
-                                    + [s * r for s, r in zip(signs, roots[1:])])
-                sol = mpmath.lu_solve(vmat, rhs)
-                coords = []
-                for v in sol:
-                    if abs(mpmath.im(v)) > tol:
-                        break
-                    fr = _mpf_to_fraction(mpmath.re(v))
-                    coords.append(fr.limit_denominator(denominator_bound))
-                else:
-                    cand = fld.element(coords)
-                    if cand * cand == self:
-                        return cand
+        if fld._sqrt is None:
+            fld._sqrt = _SqrtData(fld)
+        data = fld._sqrt
+        B = [self.den * v for v in self.num]
+        index = 0
+        while True:  # B is a unit modulo every h_i at all but finitely many p
+            sp = data.prime(index)
+            p = sp.p
+            parts = [_poly_divmod(B, h, p)[1] for h in sp.factors]
+            if all(parts):
+                break
+            index += 1
+        terms = []  # a root of 1/B modulo h_i, carried to Phi_N by e_i
+        for i, (part, h, e) in enumerate(zip(parts, sp.factors, sp.idempotents)):
+            r = sp.sqrt_mod(_poly_powmod(part, sp.q - 2, h, p), i)
+            if r is None:
+                return None
+            terms.append(_poly_mulmod(r, e, sp.modulus, p))
+
+        l1 = sum(map(abs, B))
+        root_l1 = math.isqrt(l1)
+        root_l1 += root_l1 * root_l1 < l1
+        bound = math.ceil(data.bound * root_l1)
+        k = 1
+        while p ** k <= 2 * bound:
+            k += 1
+        precisions = [k]  # each Newton step doubles the p-adic precision
+        while k > 1:
+            k = (k + 1) // 2
+            precisions.append(k)
+        levels = [(p ** k, [v % p ** k for v in B]) for k in reversed(precisions)]
+        top, B_top = levels[-1]
+
+        product = fld._product
+        for signs in itertools.product((1, -1), repeat=len(terms) - 1):
+            z = [0] * fld.degree
+            for sign, term in zip((1,) + signs, terms):
+                for j, c in enumerate(term):
+                    z[j] += sign * c
+            for m, B_m in levels[1:]:
+                z2 = [v % m for v in product(z, z)]
+                t = [-v % m for v in product(B_m, z2)]
+                t[0] += 3
+                z = [v * ((m + 1) // 2) % m for v in product(z, t)]
+            Y = [v % top for v in product(B_top, z)]
+            Y = [v - top if 2 * v > top else v for v in Y]
+            if all(abs(v) <= bound for v in Y) and product(Y, Y) == B:
+                y = fld._normalized(Y, self.den)
+                return max(y, -y)
         return None
 
     # -- display ----------------------------------------------------------------

@@ -371,15 +371,13 @@ def normalize_to_contain_0_1(A: FiniteSubset):
     return A.map(f), f
 
 
-def predecessor_2n_minus_1(B: FiniteSubset,
-                           denominator_bound: int = 10 ** 6) -> FiniteSubset:
+def predecessor_2n_minus_1(B: FiniteSubset) -> FiniteSubset:
     """The unique (2n-1)-element class mapping onto [B] quadratically.
 
     B is first normalized to contain {0,1}; the result {0, +-1, +-sqrt(b)} is
-    verified against X^2 before returning.  A missing square root is reported
-    as "not found in working field": the search is bounded by
-    denominator_bound, so absence of a certificate is not a nonexistence
-    proof."""
+    verified against X^2 before returning.  ``FieldElement.sqrt`` decides
+    whether each b is a square, so a ValueError for a missing root proves
+    that b is not a square in the working field."""
     n = len(B)
     if n < 2:
         raise ValueError("predecessor construction needs at least 2 elements")
@@ -389,11 +387,11 @@ def predecessor_2n_minus_1(B: FiniteSubset,
     for b in Bn.elems:
         if b.is_zero() or b.is_one():
             continue
-        root = b.sqrt(denominator_bound=denominator_bound)
+        root = b.sqrt()
         if root is None:
             raise ValueError(
-                f"square root of {b} not found in working field "
-                f"(denominator bound {denominator_bound})")
+                f"square root of {b} not found in working field: "
+                f"it is not a square in Q(zeta_{field.order})")
         elems.extend([root, -root])
     A = FiniteSubset(field, elems)
     if _fiber_certificate(Poly(field, [0, 0, 1]), A, Bn) is None:
