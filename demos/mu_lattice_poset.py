@@ -10,8 +10,7 @@ Run with:  python3 demos/mu_lattice_poset.py
 """
 import os
 
-from polyred import make_field, roots_of_unity
-from polyred.cli import build_poset
+from polyred import build_poset, make_field, roots_of_unity
 
 F = make_field(12)
 DIVISORS = (1, 2, 3, 4, 6, 12)

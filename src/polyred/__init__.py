@@ -56,16 +56,17 @@ from .vandermonde import (
     build_enriched,
     exact_rank,
 )
-from .cli import (
+from .poset import (
     PosetReport,
+    build_poset,
+)
+from .cli import (
     SetFile,
     SetFileError,
-    build_poset,
     emit_set_file,
     main,
     parse_set_file,
     parse_set_text,
-    run_command,
 )
 
 __all__ = [
@@ -82,7 +83,7 @@ __all__ = [
     "predecessor_2n_minus_1", "reduces", "singleton_reduction", "successors",
     "EnrichedVandermonde", "build_enriched", "exact_rank",
     "PosetReport", "SetFile", "SetFileError", "build_poset", "emit_set_file",
-    "main", "parse_set_file", "parse_set_text", "run_command",
+    "main", "parse_set_file", "parse_set_text",
 ]
 
 __version__ = "0.1.0"

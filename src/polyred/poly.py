@@ -9,6 +9,11 @@ Root multiplicity uses the derivative criterion (valid in characteristic 0):
 the multiplicity of a in P is the least k with the k-th derivative nonzero
 at a.  No factorization or root finding happens anywhere in this package.
 
+Interpolation has one route, Newton's divided differences:
+interpolate_labeled computes them from scratch, the witness search in
+reduction.py extends them one point at a time, and both expand the Newton
+form with _newton_to_poly.
+
 solve_linear is plain Gaussian elimination with full pivoting (exactness
 means there is no stability concern; full pivoting just limits coefficient
 blow-up).  It reports a unique solution, inconsistency, or an underdetermined
@@ -276,12 +281,26 @@ def solve_linear(rows, rhs) -> LinearSolution:
     return LinearSolution(status, tuple(solution), nullity, tuple(basis))
 
 
+def _newton_to_poly(field, coeffs, xs) -> Poly:
+    """Expand the Newton form sum_t coeffs[t] * prod_{i<t} (X - xs[i])."""
+    acc = [coeffs[-1]]
+    for t in range(len(coeffs) - 2, -1, -1):
+        xt = xs[t]
+        nxt = [field.zero()] + acc
+        for i, c in enumerate(acc):
+            nxt[i] = nxt[i] - xt * c
+        nxt[0] = nxt[0] + coeffs[t]
+        acc = nxt
+    return Poly(field, acc)
+
+
 def interpolate_labeled(points, degree_cap: int):
     """The unique polynomial of degree <= degree_cap through the labeled points, or None.
 
     points: sequence of (abscissa, value) FieldElement pairs, abscissae pairwise
     distinct, with at least degree_cap + 1 points so the answer is unique when
-    it exists.
+    it exists.  Newton divided differences on the first degree_cap + 1 points
+    give the candidate; the remaining points check it.
     """
     pts = list(points)
     if len(pts) < degree_cap + 1:
@@ -289,19 +308,12 @@ def interpolate_labeled(points, degree_cap: int):
     xs = [a for a, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae")
-    field = xs[0].field
-    one = field.one()
-    rows = []
-    for a in xs:
-        row = [one]
-        for _ in range(degree_cap):
-            row.append(row[-1] * a)
-        rows.append(row)
-    res = solve_linear(rows, [v for _, v in pts])
-    if res.status == "inconsistent":
+    k = degree_cap + 1
+    dd = [v for _, v in pts[:k]]
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    P = _newton_to_poly(xs[0].field, dd, xs)
+    if any(P(a) != v for a, v in pts[k:]):
         return None
-    # m >= cap+1 distinct points: the Vandermonde columns are independent.
-    assert res.status == "unique"
-    return Poly(field, res.solution)
-
-
+    return P

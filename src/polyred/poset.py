@@ -1,0 +1,100 @@
+"""The reducibility diagram of a family of labeled finite sets.
+
+build_poset quotients the sets by equivalence (canonical invariant), finds a
+lowest-degree witness for every pair of classes of different sizes, and
+returns the strict relation with its transitive reduction as a PosetReport,
+which renders as JSON or DOT.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .classes import canonical_invariant, chi
+from .exceptional import is_exceptional
+from .reduction import check_exact_preimage, find_reductions, singleton_reduction
+
+
+@dataclass
+class PosetReport:
+    """Class nodes, the full strict relation, and its transitive reduction."""
+
+    nodes: list
+    relation: list
+    edges: list
+
+    def to_json_obj(self) -> dict:
+        return {"nodes": self.nodes, "relation": self.relation,
+                "edges": self.edges}
+
+    def to_dot(self) -> str:
+        lines = ["digraph reducibility {", "  rankdir=TB;"]
+        for node in self.nodes:
+            if node["chi"] is not None:
+                text = f"{node['label']} (n={node['n']}, chi={node['chi']})"
+            else:
+                text = f"{node['label']} (n={node['n']})"
+            lines.append(f'  "{node["label"]}" [label="{text}"];')
+        for e in self.edges:
+            lines.append(f'  "{e["source"]}" -> "{e["target"]}"'
+                         f' [label="deg {e["degree"]}"];')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+
+def build_poset(sets: dict) -> PosetReport:
+    """Quotient the labeled sets by equivalence, then compute the relation.
+
+    Nodes are classes (least member label as representative); an edge records
+    the lowest-degree witness found.  Every witness re-verifies under the
+    exact preimage certificate before it is emitted.  The relation is
+    transitively closed because reducibility is, so the diagram edges are
+    just the non-composite pairs.
+    """
+    if not sets:
+        raise ValueError("poset needs at least one set")
+    by_key: dict = {}
+    invs = {}
+    for label in sorted(sets):
+        inv = canonical_invariant(sets[label])
+        invs[label] = inv
+        by_key.setdefault(inv.key(), []).append(label)
+    nodes = []
+    reps = []
+    for key, labels in sorted(by_key.items(), key=lambda kv: min(kv[1])):
+        rep = min(labels)
+        A = sets[rep]
+        n = len(A)
+        nodes.append({
+            "label": rep,
+            "members": sorted(labels),
+            "n": n,
+            "invariant": invs[rep].to_json_obj(),
+            "chi": chi(A) if n >= 3 else None,
+            "exceptional": is_exceptional(A) if n >= 3 else None,
+        })
+        reps.append(rep)
+    relation = []
+    succ: dict = {rep: set() for rep in reps}
+    for ra in reps:
+        A = sets[ra]
+        for rb in reps:
+            if ra == rb or len(sets[rb]) >= len(A):
+                continue
+            B = sets[rb]
+            if len(B) == 1:
+                wit = singleton_reduction(A, B[0])
+            else:
+                found = find_reductions(A, B, first_only=True)
+                if not found:
+                    continue
+                wit = found[0]
+            if not check_exact_preimage(wit.poly, A, wit.target):
+                raise ArithmeticError("edge witness failed re-verification")
+            relation.append({"source": ra, "target": rb, "degree": wit.gamma,
+                             "witness": wit.poly.encode()})
+            succ[ra].add(rb)
+    edges = [e for e in relation
+             if not any(e["target"] in succ[w]
+                        for w in succ[e["source"]] if w != e["target"])]
+    key = lambda e: (e["source"], e["target"])
+    return PosetReport(nodes, sorted(relation, key=key), sorted(edges, key=key))

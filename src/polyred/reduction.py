@@ -29,7 +29,7 @@ from itertools import combinations, permutations
 
 from .classes import ClassInvariant, FiniteSubset, canonical_invariant, equivalent
 from .field import _check_same_field
-from .poly import LinearMap, Poly, _coerce
+from .poly import LinearMap, Poly, _coerce, _newton_to_poly
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,6 @@ def check_exact_preimage(P, A: FiniteSubset, B: FiniteSubset) -> bool:
     if P.is_zero() or P.degree < 1:
         raise ValueError("constant polynomial cannot witness a reduction")
     return _fiber_certificate(P, A, B) is not None
-
-
-def _newton_to_poly(field, coeffs, xs) -> Poly:
-    acc = [coeffs[-1]]
-    for t in range(len(coeffs) - 2, -1, -1):
-        xt = xs[t]
-        nxt = [field.zero()] + acc
-        for i, c in enumerate(acc):
-            nxt[i] = nxt[i] - xt * c
-        nxt[0] = nxt[0] + coeffs[t]
-        acc = nxt
-    return Poly(field, acc)
 
 
 def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,

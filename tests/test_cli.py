@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from polyred import FiniteSubset, make_field, roots_of_unity
-from polyred.cli import (SetFile, SetFileError, build_poset, emit_set_file,
-                         main, parse_set_text)
+from polyred.cli import (MAX_ORDER, SetFile, SetFileError, build_poset,
+                         emit_set_file, main, parse_set_text)
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,6 +66,61 @@ def test_parse_and_emit_round_trip(F12):
 def test_parse_rejects_malformed(text):
     with pytest.raises(SetFileError):
         parse_set_text(text)
+
+
+def test_set_errors_name_the_label():
+    for bad in ([[0]], [["1/1"]], [["1/x", "0/1"]], "x", []):
+        text = json.dumps({"cyclotomic_order": 4,
+                           "sets": {"ok": [["1/1", "0/1"]], "bad": bad}})
+        with pytest.raises(SetFileError, match='set "bad"'):
+            parse_set_text(text)
+
+
+def test_cyclotomic_order_is_bounded(tmp_path, capsys):
+    """Orders above MAX_ORDER are refused before any field is built, from a
+    set file and from --field alike: exit 1 with a JSON SetFileError."""
+    assert MAX_ORDER == 512
+    top = parse_set_text(json.dumps(
+        {"cyclotomic_order": 512, "sets": {"a": [["1/1"] + ["0/1"] * 255]}}))
+    assert top.field.degree == 256
+    with pytest.raises(SetFileError, match="exceeds the limit 512"):
+        parse_set_text('{"cyclotomic_order": 513, "sets": {"a": [["1/1"]]}}')
+    p = tmp_path / "big.json"
+    p.write_text('{"cyclotomic_order": 1024, "sets": {"a": [["1/1"]]}}')
+    for argv in (["invariant", "-f", str(p), "a"],
+                 ["vdm-rank", "--field", "1024", "--gamma-plus-1", "2",
+                  "--s-vec", "[1]", "--a-vec", "[]"],
+                 ["gen-exceptional", "--field", "1024", "-r", "2", "-s", "1",
+                  "--epsilon-exponent", "512", "--base-vertices", "[]",
+                  "--second-vertex", "[]"]):
+        code, out, _ = _run(capsys, argv)
+        err = json.loads(out)["error"]
+        assert code == 1 and err["type"] == "SetFileError"
+        assert "exceeds the limit 512" in err["message"]
+
+
+_VDM = ["vdm-rank", "--field", "4", "--gamma-plus-1", "3"]
+_GEN = ["gen-exceptional", "--field", "4", "-r", "2", "-s", "1",
+        "--epsilon-exponent", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_VDM + ["--s-vec", "[1", "--a-vec", "[]"], "--s-vec"),
+    (_VDM + ["--s-vec", "[1]", "--a-vec", "{"], "--a-vec"),
+    (_VDM + ["--s-vec", "[1]", "--a-vec", "[1]"], "--a-vec"),
+    (_VDM + ["--s-vec", "[1]", "--a-vec", '[["1/1"]]'], "--a-vec"),
+    (_GEN + ["--base-vertices", '["1/1", "0/1"]',
+             "--second-vertex", '["0/1", "0/1"]'], "--base-vertices"),
+    (_GEN + ["--base-vertices", '[["1/1", "0/1"]]',
+             "--second-vertex", '[["0/1", "0/1"]]'], "--second-vertex"),
+    (_GEN + ["--base-vertices", '[["1/1", "0/1"]]',
+             "--second-vertex", '["0/1", "1/0"]'], "--second-vertex"),
+])
+def test_argument_errors_name_the_flag(argv, flag, capsys):
+    code, out, _ = _run(capsys, argv)
+    err = json.loads(out)["error"]
+    assert code == 1 and err["type"] == "SetFileError"
+    assert err["message"].startswith(flag)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -178,6 +233,19 @@ def test_successors_stdout_pinned(tmp_path, capsys):
     code, out, _ = _run(capsys, ["successors", "-f", str(p), "A"])
     assert code == 0
     assert out == (DATA / "successors_mu4_0.json").read_text()
+
+
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{i}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
+def test_cli_golden(case, capsys):
+    """Every subcommand on tests/data/cli_fixture.json (Q(zeta_4)): exit code,
+    stdout and stderr byte for byte as in tests/data/cli_golden.json."""
+    fixture = str(DATA / "cli_fixture.json")
+    argv = [fixture if a == "{file}" else a for a in case["argv"]]
+    assert _run(capsys, argv) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_predecessor_payload_and_error(tmp_path, capsys):
