@@ -12,10 +12,7 @@ from .field import (
 from .poly import (
     NEG_INF,
     LinearMap,
-    LinearSolution,
     Poly,
-    interpolate_labeled,
-    solve_linear,
 )
 from .classes import (
     ClassInvariant,
@@ -55,6 +52,7 @@ from .vandermonde import (
     EnrichedVandermonde,
     build_enriched,
     exact_rank,
+    nullspace,
 )
 from .poset import (
     PosetReport,
@@ -71,8 +69,7 @@ from .cli import (
 
 __all__ = [
     "CyclotomicField", "FieldElement", "FieldMismatchError", "make_field",
-    "NEG_INF", "LinearMap", "LinearSolution", "Poly", "interpolate_labeled",
-    "solve_linear",
+    "NEG_INF", "LinearMap", "Poly",
     "ClassInvariant", "FiniteSubset", "Stabilizer", "canonical_invariant",
     "characteristic_lambda_points", "chi", "equivalent", "lambda_tuple",
     "linear_maps_between", "roots_of_unity", "sigma3_coordinate", "stabilizer",
@@ -81,7 +78,7 @@ __all__ = [
     "DegreeWindow", "Reduction", "SuccessorClass", "check_exact_preimage",
     "degree_bounds", "find_reductions", "normalize_to_contain_0_1",
     "predecessor_2n_minus_1", "reduces", "singleton_reduction", "successors",
-    "EnrichedVandermonde", "build_enriched", "exact_rank",
+    "EnrichedVandermonde", "build_enriched", "exact_rank", "nullspace",
     "PosetReport", "SetFile", "SetFileError", "build_poset", "emit_set_file",
     "main", "parse_set_file", "parse_set_text",
 ]

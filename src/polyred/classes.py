@@ -112,6 +112,7 @@ def linear_maps_between(A: FiniteSubset, B: FiniteSubset) -> list[LinearMap]:
 
 def equivalent(A: FiniteSubset, B: FiniteSubset) -> bool:
     """Whether some degree-1 polynomial maps A onto B."""
+    _check_same_field(A.elems[0], B.elems[0])
     if len(A) != len(B):
         return False
     if len(A) <= 2:

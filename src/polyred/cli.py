@@ -212,7 +212,8 @@ def _cmd_sigma3(args, A):
 def _cmd_vdm_rank(args):
     field = _field(args.field)
     svec = _json_arg(args.s_vec, "--s-vec")
-    if not isinstance(svec, list) or not all(isinstance(s, int) for s in svec):
+    if not isinstance(svec, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in svec):
         raise SetFileError("--s-vec must be a JSON array of integers")
     avec = _parse_elements(field, _json_arg(args.a_vec, "--a-vec"), "--a-vec")
     M = build_enriched(args.gamma_plus_1, svec, avec)
@@ -277,7 +278,7 @@ COMMANDS = (
     Command("reduce", "all reductions A onto B", _cmd_reduce, _TWO),
     Command("successors", "all reachable classes", _cmd_successors, _ONE,
             options=(_opt("--max-degree", type=int, default=None, metavar="G",
-                          help="cap the witness degree (default: cardinality - 1)"),)),
+                          help="cap the witness degree, >= 1 (default: cardinality - 1)"),)),
     Command("predecessor", "quadratic predecessor of size 2n-1", _cmd_predecessor, _ONE),
     Command("sigma3", "projective 3-set coordinate", _cmd_sigma3, _ONE),
     Command("vdm-rank", "enriched Vandermonde rank", _cmd_vdm_rank,

@@ -6,7 +6,10 @@ is a vector of integers plus a single positive denominator, normalized so the
 gcd of all entries and the denominator is 1; this makes the representation
 unique (equality is structural) and keeps the arithmetic in fast integer
 operations.  A rational element hashes like the int or Fraction it equals.
-The Fraction view of the coordinates is exposed at the serialization boundary.
+Every element is built by a CyclotomicField method; element and
+element_from_encoding share one integer route, so parsing "p/q" builds no
+Fraction.  Fraction appears only at the boundary: the coords view (and so
+encode and str), as_fraction, and non-int input to element and from_rational.
 
 Inversion is integer-only as well: the product of the Galois conjugates of an
 element, divided by its norm.
@@ -39,7 +42,15 @@ class FieldMismatchError(ValueError):
     """Raised when operands belong to different cyclotomic fields."""
 
 
-_ENCODING_RE = re.compile(r"^-?[0-9]+/[1-9][0-9]*$")
+_ENCODING_RE = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+
+
+def _rational_pair(q) -> tuple[int, int]:
+    """(numerator, denominator) of the rational q, without a Fraction for an int."""
+    if type(q) is int:
+        return q, 1
+    q = Fraction(q)
+    return q.numerator, q.denominator
 
 
 def _divisors(n: int) -> list[int]:
@@ -165,23 +176,23 @@ class CyclotomicField:
                         out[i] += v * c
         return self._make(tuple(out), 1)
 
+    def _from_pairs(self, pairs) -> "FieldElement":
+        """Element from integer (numerator, positive denominator) coordinate
+        pairs, at most degree of them, zero padded."""
+        den = math.lcm(*(q for _, q in pairs))
+        num = [p * (den // q) for p, q in pairs]
+        return self._normalized(num + [0] * (self.degree - len(num)), den)
+
     def element(self, coords) -> "FieldElement":
         """Element from a sequence of ints/Fractions (length <= degree, zero padded)."""
-        vals = [Fraction(c) for c in coords]
-        if len(vals) > self.degree:
-            raise ValueError(f"expected at most {self.degree} coordinates, got {len(vals)}")
-        vals += [Fraction(0)] * (self.degree - len(vals))
-        den = math.lcm(*[v.denominator for v in vals])
-        num = [int(v * den) for v in vals]
-        return self._normalized(num, den)
+        pairs = [_rational_pair(c) for c in coords]
+        if len(pairs) > self.degree:
+            raise ValueError(f"expected at most {self.degree} coordinates, got {len(pairs)}")
+        return self._from_pairs(pairs)
 
     def from_rational(self, q) -> "FieldElement":
         """The rational q (an int, or anything Fraction accepts) as an element."""
-        if type(q) is int:
-            p, den = q, 1
-        else:
-            q = Fraction(q)
-            p, den = q.numerator, q.denominator
+        p, den = _rational_pair(q)
         return self._make((p,) + (0,) * (self.degree - 1), den)
 
     def zero(self) -> "FieldElement":
@@ -199,13 +210,13 @@ class CyclotomicField:
         if len(strings) != self.degree:
             raise ValueError(
                 f"element needs exactly {self.degree} coordinates, got {len(strings)}")
-        coords = []
+        pairs = []
         for s in strings:
-            if not isinstance(s, str) or not _ENCODING_RE.match(s):
+            if not isinstance(s, str) or not _ENCODING_RE.fullmatch(s):
                 raise ValueError(f"bad coordinate encoding {s!r}")
             p, q = s.split("/")
-            coords.append(Fraction(int(p), int(q)))
-        return self.element(coords)
+            pairs.append((int(p), int(q)))
+        return self._from_pairs(pairs)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -401,16 +412,10 @@ class _SqrtData:
 
 @total_ordering
 class FieldElement:
-    """Immutable element of a CyclotomicField; supports +, -, *, /, **, and a total order."""
+    """Immutable element of a CyclotomicField, built by the field's methods;
+    supports +, -, *, /, **, and a total order."""
 
     __slots__ = ("field", "num", "den", "_hash")
-
-    def __init__(self, field: CyclotomicField, coords):
-        el = field.element(coords)
-        self.field = field
-        self.num = el.num
-        self.den = el.den
-        self._hash = None
 
     # -- coercion ------------------------------------------------------------
     def _co(self, other):

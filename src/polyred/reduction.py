@@ -214,6 +214,7 @@ def singleton_reduction(A: FiniteSubset, b) -> Reduction:
 
 def reduces(A: FiniteSubset, B: FiniteSubset) -> bool:
     """Decide A <= B across all cardinality cases."""
+    _check_same_field(A.elems[0], B.elems[0])
     m, n = len(A), len(B)
     if m < n:
         return False
@@ -270,6 +271,8 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     m = len(A)
     if m < 2:
         raise ValueError("successor enumeration needs at least 2 elements")
+    if max_degree is not None and max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     field = A.field
     xs = A.elems
     out: dict[str, SuccessorClass] = {}

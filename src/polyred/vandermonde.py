@@ -6,14 +6,19 @@ falling-factorial rule d^s/da^s a^(j-1) = (j-1)(j-2)...(j-s) a^(j-1-s), so no
 symbolic differentiation is involved.  With R = sum(s_l + 1) <= gamma + 1 the
 rank is always R; a kernel vector of the matrix is exactly a polynomial of
 degree <= gamma having each a_l as a root of multiplicity >= s_l + 1.
+
+nullspace is the package's one elimination kernel: exact Gauss-Jordan
+elimination with full pivoting on the entry of least bit size (exactness
+means there is no stability concern; the pivot choice only limits
+coefficient growth).  exact_rank is the column count minus its dimension.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .field import CyclotomicField, FieldElement
-from .poly import _coerce, solve_linear
+from .field import FieldElement
+from .poly import _coerce
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,9 @@ def build_enriched(gamma_plus_1: int, s_vec, a_vec) -> EnrichedVandermonde:
     """Power rows plus s_l derivative rows per node; requires R <= gamma+1."""
     if gamma_plus_1 < 1:
         raise ValueError("need at least one column")
-    svec = tuple(int(s) for s in s_vec)
+    svec = tuple(s_vec)
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in svec):
+        raise ValueError("derivative counts must be integers")
     if any(s < 0 for s in svec):
         raise ValueError("derivative counts must be nonnegative")
     if len(svec) != len(a_vec):
@@ -72,25 +79,63 @@ def build_enriched(gamma_plus_1: int, s_vec, a_vec) -> EnrichedVandermonde:
     return EnrichedVandermonde(gamma_plus_1, svec, nodes, tuple(rows))
 
 
+def nullspace(rows) -> tuple[tuple[FieldElement, ...], ...]:
+    """A basis of the kernel {x : rows x = 0} of a nonempty matrix of field
+    elements, one vector per free column."""
+    m = len(rows)
+    if m == 0:
+        raise ValueError("empty matrix")
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0])
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("matrix rows must have equal length")
+    col_of = list(range(ncols))  # col_of[j] = original index of current column j
+    rank = 0
+    while rank < min(m, ncols):
+        best = None
+        for i in range(rank, m):
+            for j in range(rank, ncols):
+                e = mat[i][j]
+                if not e.is_zero():
+                    size = sum(v.bit_length() for v in e.num) + e.den.bit_length()
+                    if best is None or size < best[0]:
+                        best = (size, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        mat[rank], mat[pi] = mat[pi], mat[rank]
+        if pj != rank:
+            for row in mat:
+                row[rank], row[pj] = row[pj], row[rank]
+            col_of[rank], col_of[pj] = col_of[pj], col_of[rank]
+        inv = mat[rank][rank].inverse()
+        mat[rank] = [e * inv for e in mat[rank]]
+        for i in range(m):
+            if i != rank and not mat[i][rank].is_zero():
+                f = mat[i][rank]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    if rank == ncols:
+        return ()
+    field = mat[0][0].field
+    zero, one = field.zero(), field.one()
+    basis = []
+    for free in range(rank, ncols):
+        vec = [zero] * ncols
+        for i in range(rank):
+            vec[col_of[i]] = -mat[i][free]
+        vec[col_of[free]] = one
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
 def exact_rank(rows) -> int:
     """Rank of a matrix of field elements by exact elimination.
 
-    Rows are cleared of coordinate denominators first (a nonzero scaling per
-    row keeps the rank and limits bignum growth), then passed through the
-    homogeneous-system kernel shared with solve_linear."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    field = rows[0][0].field
-    ncols = len(rows[0])
-    if ncols == 0:
-        return 0
+    Each row is first scaled by the lcm of its coordinate denominators (a
+    nonzero scaling keeps the rank and limits bignum growth)."""
     scaled = []
     for row in rows:
-        lcm = 1
-        for e in row:
-            lcm = lcm * e.den // math.gcd(lcm, e.den)
+        lcm = math.lcm(*(e.den for e in row))
         scaled.append([e * lcm for e in row])
-    zero = field.zero()
-    res = solve_linear(scaled, [zero] * len(scaled))
-    return ncols - res.nullity
+    return len(scaled[0]) - len(nullspace(scaled)) if scaled else 0

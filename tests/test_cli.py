@@ -115,6 +115,7 @@ _GEN = ["gen-exceptional", "--field", "4", "-r", "2", "-s", "1",
              "--second-vertex", '[["0/1", "0/1"]]'], "--second-vertex"),
     (_GEN + ["--base-vertices", '[["1/1", "0/1"]]',
              "--second-vertex", '["0/1", "1/0"]'], "--second-vertex"),
+    (_VDM + ["--s-vec", "[true, false]", "--a-vec", "[]"], "--s-vec"),
 ])
 def test_argument_errors_name_the_flag(argv, flag, capsys):
     code, out, _ = _run(capsys, argv)
@@ -222,6 +223,14 @@ def test_successors_payload(tmp_path, capsys):
     code, out, _ = _run(capsys, ["successors", "-f", f, "A", "--max-degree", "1"])
     obj = json.loads(out)
     assert code == 0 and all(sc["trivial"] for sc in obj["successors"])
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_successors_rejects_max_degree_below_one(tmp_path, capsys, cap):
+    f = _setfile(tmp_path, 12, {"A": [0, 1, 3]})
+    code, out, _ = _run(capsys, ["successors", "-f", f, "A", "--max-degree", cap])
+    err = json.loads(out)["error"]
+    assert code == 1 and err["type"] == "ValueError" and "max_degree" in err["message"]
 
 
 def test_successors_stdout_pinned(tmp_path, capsys):

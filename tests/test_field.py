@@ -150,7 +150,8 @@ def test_encode_decode_round_trip(F12):
                 ["1", "0/1", "0/1", "0/1"],
                 ["1/-2", "0/1", "0/1", "0/1"],
                 ["0/1"],
-                ["a/b", "0/1", "0/1", "0/1"]):
+                ["a/b", "0/1", "0/1", "0/1"],
+                ["1/2\n", "0/1", "0/1", "0/1"]):
         with pytest.raises(ValueError):
             F12.element_from_encoding(bad)
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from polyred import (
+    FieldMismatchError,
     FiniteSubset,
     LinearMap,
     Poly,
@@ -170,6 +171,19 @@ def test_reduces_cases(F12):
     assert reduces(_fs(F12, [0, 1, 3, 7]), _fs(F12, [9]))
 
 
+def test_mixed_fields_rejected_before_cardinality_shortcuts(F4, F12):
+    """Every cardinality case raises, not only the n >= 3 search."""
+    two4, two12 = _fs(F4, [0, 1]), _fs(F12, [0, 1])
+    cases = [(equivalent, two4, two12),                     # 2 vs 2
+             (equivalent, two4, _fs(F12, [0, 1, 2])),       # 2 vs 3
+             (reduces, two4, two12),                        # 2 -> 2
+             (reduces, _fs(F4, [0, 1, 2]), _fs(F12, [5])),  # 3 -> 1
+             (reduces, two4, _fs(F12, [0, 1, 2]))]          # 2 -> 3
+    for decide, A, B in cases:
+        with pytest.raises(FieldMismatchError):
+            decide(A, B)
+
+
 def test_successors_match_partition_oracle(F12):
     rng = random.Random(500)
     samples = [
@@ -219,6 +233,14 @@ def test_successors_degree_cap(F12):
             assert sc.witness.gamma <= 2
     with pytest.raises(ValueError):
         successors(_fs(F12, [3]))
+
+
+def test_successors_max_degree_at_least_one(F12):
+    A = _fs(F12, [0, 1, 3])
+    assert all(sc.trivial for sc in successors(A, max_degree=1))
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_degree"):
+            successors(A, max_degree=cap)
 
 
 def test_successor_filters_never_reject_a_witness(F1, F4):
