@@ -18,6 +18,13 @@ element, divided by its norm.
 modulo a prime, Hensel-lifts them past a proven coefficient bound and checks
 the candidates exactly, so ``None`` proves that the element is not a square.
 
+A prime p = 1 (mod N) splits completely in Q(zeta_N): for a primitive N-th
+root of unity w modulo p, zeta -> w is a ring map Z[zeta] -> F_p.
+``split_prime(i)`` gives the i-th such prime below 2^30, in descending order,
+built lazily per field; its ``residue`` sends v/den to (sum v_j w^j)/den mod p
+and returns None when p divides den.  The witness search runs on these
+residues and certifies its survivors exactly.
+
 The comparison operators implement a strict total order: lexicographic on the
 coordinate vector, each coordinate compared by rational value.  It is used
 everywhere a canonical ordering of field elements is needed (sorted sets,
@@ -95,7 +102,8 @@ def make_field(order: int) -> "CyclotomicField":
 class CyclotomicField:
     """Q(zeta_N) with exact power-basis arithmetic modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "degree", "modulus", "_powers", "_galois", "_zeta", "_sqrt")
+    __slots__ = ("order", "degree", "modulus", "_powers", "_galois", "_zeta", "_sqrt",
+                 "_split")
 
     def __init__(self, order: int):
         if not isinstance(order, int) or isinstance(order, bool):
@@ -124,6 +132,7 @@ class CyclotomicField:
         self._galois = tuple(k for k in range(2, order) if math.gcd(k, order) == 1)
         self._zeta = self._make(powers[1 % order], 1)
         self._sqrt = None  # _SqrtData, built by the first FieldElement.sqrt
+        self._split = []  # _SplitPrime list, extended by split_prime
 
     def _make(self, num: tuple[int, ...], den: int) -> "FieldElement":
         el = FieldElement.__new__(FieldElement)
@@ -217,6 +226,19 @@ class CyclotomicField:
             p, q = s.split("/")
             pairs.append((int(p), int(q)))
         return self._from_pairs(pairs)
+
+    def split_prime(self, index: int) -> "_SplitPrime":
+        """The index-th prime p = 1 (mod N) below 2^30, counting down, with a
+        primitive N-th root of unity w modulo p."""
+        n, split = self.order, self._split
+        while len(split) <= index:
+            p = split[-1].p - n if split else (2 ** 30 - 2) // n * n + 1
+            while not _is_prime(p):
+                p -= n
+                if p < 2:
+                    raise ArithmeticError(f"no split prime left for Q(zeta_{n})")
+            split.append(_SplitPrime(self, p))
+        return split[index]
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -408,6 +430,34 @@ class _SqrtData:
                 p += 2
             self.primes.append(_SqrtPrime(self.field.modulus, p, self.exponent))
         return self.primes[index]
+
+
+class _SplitPrime:
+    """A prime p = 1 (mod N) and powers[j] = w^j mod p, j < phi(N), for the
+    primitive N-th root of unity w = g^((p-1)/N) with g the least base that
+    makes it primitive."""
+
+    __slots__ = ("p", "powers")
+
+    def __init__(self, field: "CyclotomicField", p: int):
+        n = field.order
+        t = (p - 1) // n
+        factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+        g = 2
+        while True:
+            w = pow(g, t, p)
+            if all(pow(w, n // q, p) != 1 for q in factors):
+                break
+            g += 1
+        self.p = p
+        self.powers = [pow(w, j, p) for j in range(field.degree)]
+
+    def residue(self, x: "FieldElement") -> int | None:
+        """x = v/den modulo p under zeta -> w, or None when p divides den."""
+        p = self.p
+        if x.den % p == 0:
+            return None
+        return sum(v * w for v, w in zip(x.num, self.powers)) * pow(x.den, -1, p) % p
 
 
 @total_ordering

@@ -118,6 +118,9 @@ class Poly:
         return acc
 
     def derivative(self, order: int = 1) -> "Poly":
+        """The order-th derivative; order is an int >= 0 (0 gives P itself)."""
+        if type(order) is not int or order < 0:
+            raise ValueError(f"derivative order must be an int >= 0, got {order!r}")
         cs = list(self.coeffs)
         for _ in range(order):
             cs = [i * cs[i] for i in range(1, len(cs))]

@@ -8,11 +8,20 @@ certificate is equivalent to exact preimage.
 
 find_reductions enumerates assignments of A's elements to B's elements fiber
 by fiber.  It walks the first gamma+1 elements as an incremental Newton
-interpolation (divided differences with cached inverse differences), rejects
-prefixes whose fiber exceeds gamma elements or whose leading coefficient
-vanishes, then checks the forced values of the remaining elements.  This is
-the plain assignment-plus-interpolation search, just ordered so that shared
-prefixes are interpolated once.
+interpolation and prunes prefixes whose fiber would exceed gamma elements or
+that can no longer reach every target; the remaining values are forced.  The
+walk runs modulo a split prime p = 1 (mod N), zeta -> w (field.split_prime).
+Each leaf is rejected mod p unless the leading coefficient is nonzero, the
+forced values are residues of B within the fiber cap, the map is onto, and
+every fiber's multiplicities, counted by synthetic division of P - b, sum to
+gamma.  Only the survivors are interpolated exactly and certified.
+
+Filtering loses no witness when p is good for (A, B): every denominator is
+prime to p, and A's residues, and B's, are pairwise distinct.  A witness
+then has P - b = c*prod(X - a)^e with c = (b' - b)/prod(a' - a)^e a p-unit,
+so its reduction passes every test with the same multiplicities (synthetic
+division needs no condition on the characteristic).  A bad p moves the
+search to the next split prime; there is no other route.
 
 successors enumerates the root data of a prospective witness (a support in A
 with multiplicities) instead of target sets.  A candidate's image set is the
@@ -125,56 +134,144 @@ def check_exact_preimage(P, A: FiniteSubset, B: FiniteSubset) -> bool:
     return _fiber_certificate(P, A, B) is not None
 
 
-def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
-                   first_only: bool) -> None:
+def _split_residues(A: FiniteSubset, B: FiniteSubset):
+    """(p, residues of A, residues of B) at the first split prime of the field
+    that is good for (A, B): every denominator is prime to p, and the
+    residues of A, and those of B, are pairwise distinct."""
     field = A.field
-    xs = A.elems
-    m = len(xs)
-    targets = B.elems
-    nb = len(targets)
+    index = 0
+    while True:
+        sp = field.split_prime(index)
+        xr = [sp.residue(a) for a in A.elems]
+        br = [sp.residue(b) for b in B.elems]
+        if (None not in xr and None not in br
+                and len(set(xr)) == len(xr) and len(set(br)) == len(br)):
+            return sp.p, xr, br
+        index += 1
+
+
+def _divide_out(q: list, a: int, p: int) -> list:
+    """q over F_p (ascending, nonzero) with every factor X - a divided out."""
+    while len(q) > 1:
+        acc, quot = 0, []
+        for c in reversed(q):  # synthetic division: Horner's partial values
+            acc = (acc * a + c) % p
+            quot.append(acc)
+        if acc:
+            break
+        quot.pop()
+        q = quot[::-1]
+    return q
+
+
+def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
+                   first_only: bool, residues) -> None:
+    """Append every degree-gamma reduction from A onto B to out, in tree order.
+
+    rec assigns targets to the first gamma+1 elements of A, carrying divided
+    differences modulo the good split prime p of residues = (p, A mod p,
+    B mod p); the other values are forced.  A leaf is rejected when, mod p,
+    the leading coefficient vanishes, a forced value is not a residue of B
+    or overfills a fiber, the map is not onto, or some fiber's multiplicities
+    (counted by synthetic division of P - b) do not sum to gamma.  Only the
+    survivors are interpolated exactly and certified by _fiber_certificate.
+
+    This loses no witness.  For a witness P and b in B, P - b = c*prod(X - a)^e
+    over the fiber of b, and c = (b' - b)/prod(a' - a)^e for a' in another
+    fiber.  At a good p all these differences are p-units, so P is p-integral,
+    its Newton coefficients reduce to the ones computed here, and P - b
+    reduces to c*prod(X - a)^e with c nonzero and the a pairwise distinct:
+    the reduction passes every test with the same fibers and multiplicities.
+    find_reductions passes the first good prime (_split_residues): a bad one
+    is skipped, never searched.
+    """
+    field = A.field
+    xs, targets = A.elems, B.elems
+    m, nb = len(xs), len(targets)
+    p, xr, br = residues
     k = gamma + 1  # free prefix; the remaining m - k values are forced
-    invd = [[(xs[i] - xs[j]).inverse() for j in range(i)] for i in range(k)]
-    counts = dict.fromkeys(targets, 0)
+    invd = [[pow(xr[i] - xr[j], -1, p) for j in range(i)] for i in range(k)]
+    # diffs[i - k][t] = x_i - x_t, for Newton evaluation at a forced element
+    diffs = [[(xr[i] - xr[t]) % p for t in range(k - 1)] for i in range(k, m)]
+    index = {b: j for j, b in enumerate(br)}
+    counts = [0] * nb
+    path = []  # target index of each free element
+    exact_invd = []  # 1/(x_i - x_j), built for the first survivor
+
+    def certify() -> None:
+        if not exact_invd:
+            exact_invd.extend([(xs[i] - xs[j]).inverse() for j in range(i)]
+                              for i in range(k))
+        dd, coeffs = [], []
+        for depth, j in enumerate(path):
+            row = exact_invd[depth]
+            ndd = [targets[j]]
+            for t in range(depth):
+                ndd.append((ndd[t] - dd[t]) * row[depth - 1 - t])
+            coeffs.append(ndd[-1])
+            dd = ndd
+        P = _newton_to_poly(field, coeffs, xs)
+        fibers = _fiber_certificate(P, A, B)
+        if fibers is not None:
+            out.append(Reduction(P, A, B, gamma, fibers))
 
     def rec(depth: int, dd: list, coeffs: list, used: int) -> None:
         if first_only and out:
             return
         if depth == k:
-            if coeffs[-1].is_zero():
-                return  # degree dropped below gamma
-            P = _newton_to_poly(field, coeffs, xs)
-            tail = {}
-            for i in range(k, m):
-                v = P(xs[i])
-                if v not in B:
-                    return
-                c = counts[v] + tail.get(v, 0)
-                if c >= gamma:
-                    return  # a degree-gamma fiber has at most gamma elements
-                tail[v] = tail.get(v, 0) + 1
-            for b in targets:
-                if counts[b] == 0 and b not in tail:
-                    return  # not onto
-            fibers = _fiber_certificate(P, A, B)
-            if fibers is not None:
-                out.append(Reduction(P, A, B, gamma, fibers))
+            lead = coeffs[-1]
+            if not lead:
+                return  # degree below gamma mod p; a witness's lead is a p-unit
+            tail = counts[:]
+            assign = path[:]
+            for d in diffs:
+                v = lead
+                for t in range(k - 2, -1, -1):
+                    v = (v * d[t] + coeffs[t]) % p
+                j = index.get(v)
+                if j is None or tail[j] >= gamma:
+                    return  # off B, or a fiber of more than gamma elements
+                tail[j] += 1
+                assign.append(j)
+            if 0 in tail:
+                return  # not onto
+            poly = [lead]  # the Newton form expanded, descending
+            for t in range(k - 2, -1, -1):
+                xt = xr[t]
+                nxt = poly + [coeffs[t]]
+                for i in range(1, len(nxt)):
+                    nxt[i] = (nxt[i] - xt * poly[i - 1]) % p
+                poly = nxt
+            poly.reverse()
+            fibers = [[] for _ in range(nb)]
+            for i, j in enumerate(assign):
+                fibers[j].append(xr[i])
+            for j, fiber in enumerate(fibers):
+                q = poly[:]
+                q[0] = (q[0] - br[j]) % p
+                for a in fiber:
+                    q = _divide_out(q, a, p)
+                if len(q) > 1:
+                    return  # multiplicities sum to less than gamma
+            certify()
             return
-        x = xs[depth]
         row = invd[depth]
-        for v in targets:
-            if counts[v] >= gamma:
+        for j, v in enumerate(br):
+            if counts[j] >= gamma:
                 continue
-            newly = 1 if counts[v] == 0 else 0
+            newly = 1 if counts[j] == 0 else 0
             if nb - (used + newly) > m - depth - 1:
                 continue  # too few elements left to reach every target
             ndd = [v]
-            for j in range(depth):
-                ndd.append((ndd[j] - dd[j]) * row[depth - 1 - j])
-            counts[v] += 1
+            for t in range(depth):
+                ndd.append((ndd[t] - dd[t]) * row[depth - 1 - t] % p)
+            counts[j] += 1
+            path.append(j)
             coeffs.append(ndd[-1])
             rec(depth + 1, ndd, coeffs, used + newly)
             coeffs.pop()
-            counts[v] -= 1
+            path.pop()
+            counts[j] -= 1
 
     rec(0, [], [], 0)
 
@@ -192,8 +289,9 @@ def find_reductions(A: FiniteSubset, B: FiniteSubset,
         raise ValueError("reduction search needs 2 <= |B| <= |A|")
     gammas = (1,) if m == n else degree_bounds(m, n).gammas
     out: list[Reduction] = []
+    residues = _split_residues(A, B) if gammas else None
     for gamma in gammas:
-        _search_degree(A, B, gamma, out, first_only)
+        _search_degree(A, B, gamma, out, first_only, residues)
         if first_only and out:
             break
     out.sort(key=lambda r: (r.gamma, r.poly.coeffs))
@@ -271,8 +369,8 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     m = len(A)
     if m < 2:
         raise ValueError("successor enumeration needs at least 2 elements")
-    if max_degree is not None and max_degree < 1:
-        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+    if max_degree is not None and (type(max_degree) is not int or max_degree < 1):
+        raise ValueError(f"max_degree must be an int >= 1, got {max_degree!r}")
     field = A.field
     xs = A.elems
     out: dict[str, SuccessorClass] = {}

@@ -55,6 +55,14 @@ def test_derivative_and_multiplicity(F12):
     assert P.derivative(5).is_zero()
 
 
+def test_derivative_order_validated(F12):
+    P = Poly(F12, [1, 2, 3])
+    assert P.derivative(0) == P
+    for order in (-1, True, False, 1.0, "1"):
+        with pytest.raises(ValueError, match="derivative order"):
+            P.derivative(order)
+
+
 def test_compose(F12):
     P = Poly(F12, [0, -1, 1])
     Q = Poly(F12, [1, 1])

@@ -26,9 +26,9 @@ from polyred import (
     stabilizer,
     successors,
 )
-from polyred.reduction import compositions
-from helpers import (rand_linear_map, rand_rational_set, reduction_oracle_q,
-                     successor_oracle)
+from polyred.reduction import _split_residues, compositions
+from helpers import (rand_element, rand_linear_map, rand_rational_set,
+                     reduction_oracle_q, successor_oracle)
 
 
 def _fs(F, vals):
@@ -140,6 +140,75 @@ def test_find_reductions_against_interpolation_oracle(F1):
     assert got == reduction_oracle_q([0, 1, -1, 2, -2], [0, 1, 4]) == {(0, 0, 1)}
 
 
+def _coeff_fracs(reductions):
+    return {tuple(c.as_fraction() for c in r.poly.coeffs) for r in reductions}
+
+
+def test_bad_split_prime_moves_to_next(F4):
+    """Pairs that are bad at the first split prime p0 of Q(zeta_4) are
+    searched at the next one and lose no witness."""
+    p0, p1 = F4.split_prime(0).p, F4.split_prime(1).p
+    q = Fraction(1, p0)
+    cases = [
+        ([0, 1, -1, p0, -p0], [0, 1, p0 * p0]),  # 0 = p0 mod p0, in A and in B
+        ([0, 1, -1, q, -q], [0, 1, q * q]),      # p0 divides a denominator
+        ([0, 1, -1, 2, -2], [0, p0, 4 * p0]),    # B collapses to 0 mod p0
+        ([0, 1, 2], [0, p0, 2 * p0]),            # the same at equal size
+    ]
+    for A_vals, B_vals in cases:
+        A, B = _fs(F4, A_vals), _fs(F4, B_vals)
+        assert _split_residues(A, B)[0] == p1
+        got = _coeff_fracs(find_reductions(A, B))
+        assert got and got == reduction_oracle_q(A_vals, B_vals)
+
+
+def _affine(F, rng):
+    """A random affine map whose slope and intercept are not rational."""
+    c = c0 = F.zero()
+    while c.is_rational():
+        c = rand_element(F, rng, span=2)
+    while c0.is_rational():
+        c0 = rand_element(F, rng, span=2)
+    return LinearMap(c, c0)
+
+
+def test_find_reductions_equivariant_over_extensions(F12):
+    """find_reductions(f(A), g(B)) = {g o P o f^-1 : P in find_reductions(A, B)}
+    for affine f and g with non-rational coefficients, over Q(zeta_12) and
+    Q(zeta_16), where the search's residues send zeta to a root of unity other
+    than 1.  The rational pairs are also checked against the Q oracle; the
+    planted pairs are unions of regular r-gons, mapped by X^r."""
+    with_witness = 0
+    for F in (F12, make_field(16)):
+        rng = random.Random(F.order)
+        pairs = [(_fs(F, [0, 1, -1, 2, -2]), _fs(F, [0, 1, 4])),
+                 (_fs(F, [-1, 0, 1]), _fs(F, [0, 1]))]
+        for m, n in [(4, 2), (5, 2), (5, 3), (6, 2)]:
+            pairs.append((rand_rational_set(F, rng, m, span=4, den=2),
+                          rand_rational_set(F, rng, n, span=4, den=2)))
+        for A, B in pairs:
+            assert _coeff_fracs(find_reductions(A, B)) == reduction_oracle_q(
+                _fracs(A), _fracs(B))
+        c = F.one() + F.zeta(1)
+        for r in (2, 3, 4):
+            if F.order % r:
+                continue
+            gon = list(roots_of_unity(F, r))
+            pairs.append((FiniteSubset(F, [F.zero()] + gon + [c * u for u in gon]),
+                          FiniteSubset(F, [F.zero(), F.one(), c ** r])))
+            pairs.append((FiniteSubset(F, gon + [c * u for u in gon]),
+                          FiniteSubset(F, [F.one(), c ** r])))
+        for A, B in pairs:
+            f, g = _affine(F, rng), _affine(F, rng)
+            base = find_reductions(A, B)
+            with_witness += bool(base)
+            f_inv, g_poly = f.inverse().to_poly(), g.to_poly()
+            want = {g_poly.compose(r.poly.compose(f_inv)).coeffs for r in base}
+            got = {r.poly.coeffs for r in find_reductions(A.map(f), B.map(g))}
+            assert got == want
+    assert with_witness >= 10
+
+
 def test_empty_window_means_no_reduction(F1):
     """(m,n) with an empty degree window admits no witness of any degree."""
     rng = random.Random(72)
@@ -238,7 +307,7 @@ def test_successors_degree_cap(F12):
 def test_successors_max_degree_at_least_one(F12):
     A = _fs(F12, [0, 1, 3])
     assert all(sc.trivial for sc in successors(A, max_degree=1))
-    for cap in (0, -5):
+    for cap in (0, -5, True, 1.5, "2"):
         with pytest.raises(ValueError, match="max_degree"):
             successors(A, max_degree=cap)
 
