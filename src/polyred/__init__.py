@@ -17,16 +17,29 @@ from .poly import (
 from .classes import (
     ClassInvariant,
     FiniteSubset,
-    Stabilizer,
     canonical_invariant,
     characteristic_lambda_points,
-    chi,
-    equivalent,
     lambda_tuple,
-    linear_maps_between,
     roots_of_unity,
     sigma3_coordinate,
+)
+from .reduction import (
+    DegreeWindow,
+    Reduction,
+    Stabilizer,
+    SuccessorClass,
+    check_exact_preimage,
+    chi,
+    degree_bounds,
+    equivalent,
+    find_reductions,
+    linear_maps_between,
+    normalize_to_contain_0_1,
+    predecessor_2n_minus_1,
+    reduces,
+    singleton_reduction,
     stabilizer,
+    successors,
 )
 from .exceptional import (
     ExceptionalStructure,
@@ -34,19 +47,6 @@ from .exceptional import (
     generate_exceptional,
     is_exceptional,
     order2_criterion,
-)
-from .reduction import (
-    DegreeWindow,
-    Reduction,
-    SuccessorClass,
-    check_exact_preimage,
-    degree_bounds,
-    find_reductions,
-    normalize_to_contain_0_1,
-    predecessor_2n_minus_1,
-    reduces,
-    singleton_reduction,
-    successors,
 )
 from .vandermonde import (
     EnrichedVandermonde,

@@ -1,4 +1,4 @@
-"""Finite subsets of a cyclotomic field and equal-cardinality classification.
+"""Finite subsets of a cyclotomic field and their class invariants.
 
 Two sets of the same cardinality n are equivalent when some degree-1
 polynomial maps one onto the other.  For n >= 3 the classification is carried
@@ -7,19 +7,17 @@ is the lexicographically least sorted lambda-tuple over all n(n-1) ordered
 anchor pairs.  Cardinalities 1 and 2 form a single class each and carry the
 empty invariant.
 
-A linear map is determined by its values at two points, so every search here
-anchors on the two least elements of the source set; the n(n-1) candidate
-maps are then exhaustive and each is verified by exact image comparison.
+The maps themselves (linear_maps_between, equivalent, stabilizer, chi) are
+the witness search at degree 1, in reduction.py.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .field import CyclotomicField, FieldElement, _check_same_field
-from .poly import LinearMap, _coerce
+from .field import CyclotomicField, FieldElement
+from .poly import _coerce
 
 
 class FiniteSubset:
@@ -74,50 +72,13 @@ class FiniteSubset:
 
 
 def roots_of_unity(field: CyclotomicField, d: int) -> FiniteSubset:
-    """The d-th roots of unity; requires d to divide the cyclotomic order."""
+    """The d-th roots of unity; d must be an int dividing the cyclotomic order."""
+    if type(d) is not int:
+        raise TypeError(f"root-of-unity order must be an int, got {d!r}")
     if d < 1 or field.order % d != 0:
         raise ValueError(f"{d}-th roots of unity not contained in the working field")
     step = field.order // d
     return FiniteSubset(field, [field.zeta(step * k) for k in range(d)])
-
-
-def linear_maps_between(A: FiniteSubset, B: FiniteSubset) -> list[LinearMap]:
-    """All degree-1 maps with P(A) = B, sorted by (slope, intercept).
-
-    For n = 1 the family is a one-parameter one; the single translation
-    X + (b - a) is returned as its representative.
-    """
-    _check_same_field(A.elems[0], B.elems[0])
-    n = len(A)
-    if len(B) != n:
-        raise ValueError("cardinality mismatch")
-    if n == 1:
-        one = A.field.one()
-        return [LinearMap(one, B[0] - A[0])]
-    a1, a2 = A.elems[0], A.elems[1]
-    dinv = (a2 - a1).inverse()
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            slope = (B[j] - B[i]) * dinv
-            f = LinearMap(slope, B[i] - slope * a1)
-            if all(f(a) in B for a in A.elems):
-                # injective with |A| = |B|, so "image inside B" means "onto B"
-                out.append(f)
-    out.sort(key=lambda f: (f.slope, f.intercept))
-    return out
-
-
-def equivalent(A: FiniteSubset, B: FiniteSubset) -> bool:
-    """Whether some degree-1 polynomial maps A onto B."""
-    _check_same_field(A.elems[0], B.elems[0])
-    if len(A) != len(B):
-        return False
-    if len(A) <= 2:
-        return True
-    return bool(linear_maps_between(A, B))
 
 
 def lambda_tuple(B: FiniteSubset, i1: int, i2: int) -> tuple[FieldElement, ...]:
@@ -182,32 +143,6 @@ def characteristic_lambda_points(B: FiniteSubset) -> set:
     if n < 3:
         raise ValueError("needs at least 3 elements")
     return {perm for lams in _all_lambda_tuples(B) for perm in permutations(lams)}
-
-
-@dataclass(frozen=True)
-class Stabilizer:
-    """The group of degree-1 maps fixing a set, with their slopes (y_values)."""
-
-    maps: tuple[LinearMap, ...]
-    order: int
-    y_values: tuple[FieldElement, ...]
-
-
-def stabilizer(B: FiniteSubset) -> Stabilizer:
-    """All degree-1 P with P(B) = B; cyclic, order dividing n or n-1."""
-    if len(B) == 1:
-        ident = LinearMap.identity(B.field)
-        return Stabilizer((ident,), 1, (ident.slope,))
-    maps = tuple(linear_maps_between(B, B))
-    return Stabilizer(maps, len(maps), tuple(f.slope for f in maps))
-
-
-def chi(B: FiniteSubset) -> int:
-    """Number of characteristic planes, n!/|G_B|."""
-    n = len(B)
-    if n < 3:
-        raise ValueError("chi needs at least 3 elements")
-    return math.factorial(n) // stabilizer(B).order
 
 
 def sigma3_coordinate(B: FiniteSubset) -> tuple[FieldElement, FieldElement]:

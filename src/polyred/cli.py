@@ -21,13 +21,13 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .classes import (FiniteSubset, canonical_invariant, chi, equivalent,
-                      linear_maps_between, sigma3_coordinate, stabilizer)
+from .classes import FiniteSubset, canonical_invariant, sigma3_coordinate
 from .exceptional import decompose, generate_exceptional, is_exceptional
 from .field import CyclotomicField, make_field
 from .poset import build_poset
-from .reduction import (degree_bounds, find_reductions, normalize_to_contain_0_1,
-                        predecessor_2n_minus_1, successors)
+from .reduction import (chi, degree_bounds, find_reductions, linear_maps_between,
+                        normalize_to_contain_0_1, predecessor_2n_minus_1,
+                        stabilizer, successors)
 from .vandermonde import build_enriched, exact_rank
 
 # Largest accepted cyclotomic order: building Q(zeta_N) costs about 0.1 s at
@@ -130,8 +130,8 @@ def _cmd_invariant(args, A):
 
 
 def _cmd_equiv(args, A, B):
-    eq = equivalent(A, B)
-    wits = linear_maps_between(A, B) if (eq and len(A) == len(B)) else []
+    wits = linear_maps_between(A, B) if len(A) == len(B) else []
+    eq = bool(wits)
     payload = {"equivalent": eq, "witnesses": [w.encode() for w in wits]}
     return payload, (f"{args.label_a} ~ {args.label_b}: "
                      f"{'yes' if eq else 'no'} ({len(wits)} witnesses)")

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import FiniteSubset, stabilizer
+from .classes import FiniteSubset
 from .field import CyclotomicField, FieldElement
 from .poly import LinearMap, _coerce
+from .reduction import stabilizer
 
 
 @dataclass(frozen=True)

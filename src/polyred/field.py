@@ -9,7 +9,8 @@ operations.  A rational element hashes like the int or Fraction it equals.
 Every element is built by a CyclotomicField method; element and
 element_from_encoding share one integer route, so parsing "p/q" builds no
 Fraction.  Fraction appears only at the boundary: the coords view (and so
-encode and str), as_fraction, and non-int input to element and from_rational.
+encode and str), as_fraction, and Fraction input to element and from_rational.
+The only rational scalars are int (not bool) and Fraction: TypeError otherwise.
 
 Inversion is integer-only as well: the product of the Galois conjugates of an
 element, divided by its norm.
@@ -52,11 +53,17 @@ class FieldMismatchError(ValueError):
 _ENCODING_RE = re.compile(r"-?[0-9]+/[1-9][0-9]*")
 
 
+def _is_rational(q) -> bool:
+    """Whether q is a field scalar: an int (bool excluded) or a Fraction."""
+    return isinstance(q, (int, Fraction)) and not isinstance(q, bool)
+
+
 def _rational_pair(q) -> tuple[int, int]:
-    """(numerator, denominator) of the rational q, without a Fraction for an int."""
+    """(numerator, denominator) of the int or Fraction q; TypeError otherwise."""
     if type(q) is int:
         return q, 1
-    q = Fraction(q)
+    if not _is_rational(q):
+        raise TypeError(f"expected an int or a Fraction, got {type(q).__name__} {q!r}")
     return q.numerator, q.denominator
 
 
@@ -200,7 +207,7 @@ class CyclotomicField:
         return self._from_pairs(pairs)
 
     def from_rational(self, q) -> "FieldElement":
-        """The rational q (an int, or anything Fraction accepts) as an element."""
+        """The rational q, an int or a Fraction, as an element."""
         p, den = _rational_pair(q)
         return self._make((p,) + (0,) * (self.degree - 1), den)
 
@@ -472,7 +479,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             _check_same_field(self, other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return self.field.from_rational(other)
         return None
 
@@ -576,7 +583,7 @@ class FieldElement:
         return o * self.inverse()
 
     def __pow__(self, e: int):
-        if not isinstance(e, int):
+        if type(e) is not int:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
@@ -607,10 +614,10 @@ class FieldElement:
 
     # -- order / equality ------------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = self.field.from_rational(other)
         return (self.field.order == other.field.order
                 and self.den == other.den and self.num == other.num)
 

@@ -16,9 +16,8 @@ package's only interpolation route.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .field import CyclotomicField, FieldElement, FieldMismatchError, _check_same_field
+from .field import (CyclotomicField, FieldElement, FieldMismatchError,
+                    _check_same_field, _is_rational)
 
 NEG_INF = float("-inf")
 
@@ -94,7 +93,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
+        if isinstance(other, FieldElement) or _is_rational(other):
             s = _coerce(self.field, other)
             return Poly(self.field, [c * s for c in self.coeffs])
         if not isinstance(other, Poly):

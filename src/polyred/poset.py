@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import canonical_invariant, chi
+from .classes import canonical_invariant
 from .exceptional import is_exceptional
-from .reduction import check_exact_preimage, find_reductions, singleton_reduction
+from .reduction import (check_exact_preimage, chi, find_reductions,
+                        singleton_reduction)
 
 
 @dataclass

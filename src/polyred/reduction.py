@@ -23,6 +23,9 @@ so its reduction passes every test with the same multiplicities (synthetic
 division needs no condition on the characteristic).  A bad p moves the
 search to the next split prime; there is no other route.
 
+Equal cardinalities are the window {1}: linear_maps_between, equivalent,
+stabilizer and chi read the linear maps of A onto B off find_reductions.
+
 successors enumerates the root data of a prospective witness (a support in A
 with multiplicities) instead of target sets.  A candidate's image set is the
 product of precomputed difference powers (x_t - x_i)^e at each point outside
@@ -32,12 +35,13 @@ and only the survivors reach the certificate.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .classes import ClassInvariant, FiniteSubset, canonical_invariant, equivalent
-from .field import _check_same_field
+from .classes import ClassInvariant, FiniteSubset, canonical_invariant
+from .field import FieldElement, _check_same_field
 from .poly import LinearMap, Poly, _coerce, _newton_to_poly
 
 
@@ -316,11 +320,56 @@ def reduces(A: FiniteSubset, B: FiniteSubset) -> bool:
     m, n = len(A), len(B)
     if m < n:
         return False
-    if m == n:
-        return equivalent(A, B)
     if n == 1:
         return True
     return bool(find_reductions(A, B, first_only=True))
+
+
+def linear_maps_between(A: FiniteSubset, B: FiniteSubset) -> list[LinearMap]:
+    """All degree-1 maps with P(A) = B, sorted by (slope, intercept): the
+    reductions from A onto B.  For n = 1 the family is a one-parameter one;
+    the single translation X + (b - a) is returned as its representative."""
+    _check_same_field(A.elems[0], B.elems[0])
+    if len(B) != len(A):
+        raise ValueError("cardinality mismatch")
+    if len(A) == 1:
+        return [LinearMap(A.field.one(), B[0] - A[0])]
+    maps = [LinearMap(r.poly.coeffs[1], r.poly.coeffs[0])
+            for r in find_reductions(A, B)]
+    maps.sort(key=lambda f: (f.slope, f.intercept))
+    return maps
+
+
+def equivalent(A: FiniteSubset, B: FiniteSubset) -> bool:
+    """Whether some degree-1 polynomial maps A onto B."""
+    _check_same_field(A.elems[0], B.elems[0])
+    if len(A) != len(B):
+        return False
+    return len(A) <= 2 or bool(find_reductions(A, B, first_only=True))
+
+
+@dataclass(frozen=True)
+class Stabilizer:
+    """The group of degree-1 maps fixing a set, with their slopes (y_values)."""
+
+    maps: tuple[LinearMap, ...]
+    order: int
+    y_values: tuple[FieldElement, ...]
+
+
+def stabilizer(B: FiniteSubset) -> Stabilizer:
+    """All degree-1 P with P(B) = B (the identity alone for a singleton);
+    cyclic, order dividing n or n-1."""
+    maps = tuple(linear_maps_between(B, B))
+    return Stabilizer(maps, len(maps), tuple(f.slope for f in maps))
+
+
+def chi(B: FiniteSubset) -> int:
+    """Number of characteristic planes, n!/|G_B|."""
+    n = len(B)
+    if n < 3:
+        raise ValueError("chi needs at least 3 elements")
+    return math.factorial(n) // stabilizer(B).order
 
 
 def compositions(total: int, parts: int):

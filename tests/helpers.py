@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's search strategies: the
 reduction oracle enumerates raw value assignments and interpolates with
 sympy over Q, and the successor oracle enumerates set partitions with
-multiplicity vectors.  Agreement between these and the package routines is
-what the dual-route tests assert.
+multiplicity vectors, and the linear-map oracle tries the n(n-1) maps that
+send the two least source elements to an ordered pair of targets.
+Agreement between these and the package routines is what the dual-route
+tests assert.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +38,17 @@ def rand_linear_map(field, rng):
     while slope.is_zero():
         slope = field.from_rational(rand_fraction(rng, 8, 4))
     return LinearMap(slope, field.from_rational(rand_fraction(rng, 8, 4)))
+
+
+def rand_irrational_map(field, rng):
+    """A random affine map whose slope and intercept are not rational."""
+    from polyred import LinearMap
+    c = c0 = field.zero()
+    while c.is_rational():
+        c = rand_element(field, rng, span=2)
+    while c0.is_rational():
+        c0 = rand_element(field, rng, span=2)
+    return LinearMap(c, c0)
 
 
 def set_partitions(items, k):
@@ -178,3 +191,29 @@ def reduction_oracle_q(A_vals, B_vals):
         if good:
             found.add(tuple(coeffs))
     return found
+
+
+def linear_maps_oracle(A, B):
+    """All degree-1 maps with P(A) = B for |A| = |B| >= 2, sorted by
+    (slope, intercept).
+
+    A linear map is determined by its values at two points, so anchoring on
+    the two least elements of A makes the n(n-1) candidates exhaustive; each
+    is kept when it sends A into B (injective with |A| = |B|, so onto B).
+    """
+    from polyred import LinearMap
+
+    n = len(A)
+    a1, a2 = A.elems[0], A.elems[1]
+    dinv = (a2 - a1).inverse()
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            slope = (B[j] - B[i]) * dinv
+            f = LinearMap(slope, B[i] - slope * a1)
+            if all(f(a) in B for a in A.elems):
+                out.append(f)
+    out.sort(key=lambda f: (f.slope, f.intercept))
+    return out

@@ -1,4 +1,7 @@
-"""The public surface of the package: a change to it is a reviewed diff here."""
+"""The public surface of the package and its module layering: a change to
+either is a reviewed diff here."""
+import ast
+import pathlib
 import types
 
 import pytest
@@ -35,3 +38,33 @@ def test_elements_are_built_by_the_field(F4):
     with pytest.raises(TypeError):
         polyred.FieldElement(F4, [1, 0])
     assert F4.element([1, 0]) == F4.one()
+
+
+# Each module imports only from earlier layers; modules in one layer are
+# independent of each other.  __init__ re-exports from all of them.
+LAYERS = [("field",), ("poly",), ("classes",), ("reduction",),
+          ("exceptional", "vandermonde"), ("poset",), ("cli",)]
+
+
+def test_module_layering():
+    """Relative imports run strictly down field -> poly -> classes -> reduction
+    -> exceptional/vandermonde -> poset -> cli, all at module level, so there
+    is no import cycle and no deferred import."""
+    rank = {mod: i for i, layer in enumerate(LAYERS) for mod in layer}
+    src = pathlib.Path(polyred.__file__).parent
+    files = {path.stem: path for path in src.glob("*.py") if path.stem != "__init__"}
+    assert set(files) == set(rank)
+    for mod, path in files.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top_level = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "polyred" for a in node.names), mod
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0:
+                assert (node.module or "").split(".")[0] != "polyred", mod
+                continue
+            assert node.level == 1 and node.module in rank, (mod, node.module)
+            assert id(node) in top_level, f"{mod} defers its import of {node.module}"
+            assert rank[node.module] < rank[mod], f"{mod} imports {node.module}"

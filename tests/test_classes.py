@@ -16,12 +16,15 @@ from polyred import (
     equivalent,
     lambda_tuple,
     linear_maps_between,
+    generate_exceptional,
     make_field,
     roots_of_unity,
     sigma3_coordinate,
     stabilizer,
 )
-from helpers import rand_linear_map, rand_rational_set
+from polyred.reduction import _split_residues
+from helpers import (linear_maps_oracle, rand_element, rand_irrational_map,
+                     rand_linear_map, rand_rational_set)
 
 
 def equiv_oracle_q(A_vals, B_vals):
@@ -59,6 +62,11 @@ def test_subset_basics(F12):
         _fs(F12, [1, 1])
     with pytest.raises(ValueError):
         S.map(lambda x: x * F12.zero())  # merges everything
+    # only ints (bools excluded) and Fractions are rational scalars
+    for bad in ([0.1], ["1/3"], ["1/3", True], [True], [0, 1, 2.0]):
+        with pytest.raises(TypeError):
+            FiniteSubset(F12, bad)
+    assert FiniteSubset(F12, [0, Fraction(1, 3)]) == _fs(F12, [0, Fraction(1, 3)])
 
 
 def test_roots_of_unity(F12):
@@ -68,6 +76,9 @@ def test_roots_of_unity(F12):
         assert (z ** 4) == F12.one()
     with pytest.raises(ValueError):
         roots_of_unity(F12, 5)
+    for bad in (True, False, 4.0, "4", Fraction(4)):
+        with pytest.raises(TypeError):
+            roots_of_unity(F12, bad)
 
 
 def test_maps_between_example(F12):
@@ -103,6 +114,81 @@ def test_maps_between_count_bounds(F12):
         assert len(linear_maps_between(A, B)) <= math.factorial(n)
         if n >= 2:
             assert len(linear_maps_between(A, A)) == stabilizer(A).order
+
+
+def _gon_union(F, rng, r, s, include_barycenter):
+    """generate_exceptional with random seeds, retried until no vertices collide."""
+    while True:
+        seeds = [rand_element(F, rng, span=2) for _ in range(s)]
+        try:
+            return generate_exceptional(F, r, s, F.order // r, seeds,
+                                        rand_element(F, rng, span=2),
+                                        include_barycenter=include_barycenter)
+        except ValueError:
+            continue
+
+
+def _rand_set(F, rng, n):
+    elems = set()
+    while len(elems) < n:
+        elems.add(rand_element(F, rng, span=2))
+    return FiniteSubset(F, elems)
+
+
+def _assert_maps_match_oracle(A, B):
+    maps = linear_maps_between(A, B)
+    assert maps == linear_maps_oracle(A, B)
+    assert equivalent(A, B) == bool(maps)
+    return maps
+
+
+def test_linear_maps_match_anchor_oracle():
+    """linear_maps_between, which reads the degree-1 reductions off
+    find_reductions, equals the anchor-loop oracle's sorted list over
+    Q(zeta_12), Q(zeta_13) and Q(zeta_16): gon unions, their images under
+    maps with non-rational slope, and random sets."""
+    shapes = {12: [(3, 1, True), (4, 1, False), (6, 1, False), (2, 2, True), (3, 2, False)],
+              13: [(13, 1, False)],
+              16: [(4, 1, True), (8, 1, False), (2, 2, False), (4, 2, False)]}
+    exceptional = 0
+    for order, field_shapes in shapes.items():
+        F = make_field(order)
+        rng = random.Random(order)
+        for r, s, inc in field_shapes:
+            B = _gon_union(F, rng, r, s, inc)
+            image = B.map(rand_irrational_map(F, rng))
+            assert len(_assert_maps_match_oracle(B, B)) == r
+            assert len(_assert_maps_match_oracle(B, image)) == r
+            assert len(_assert_maps_match_oracle(image, B.map(rand_irrational_map(F, rng)))) == r
+            assert not _assert_maps_match_oracle(B, _rand_set(F, rng, len(B)))
+            assert stabilizer(image).order == r
+            exceptional += 1
+        for n in (3, 4, 5):
+            A = _rand_set(F, rng, n)
+            _assert_maps_match_oracle(A, A)
+            _assert_maps_match_oracle(A, A.map(rand_irrational_map(F, rng)))
+            _assert_maps_match_oracle(A, _rand_set(F, rng, n))
+    assert exceptional == 10
+
+
+def test_linear_maps_at_a_bad_split_prime():
+    """Sets that are bad at the first split prime p0 (they contain 0 and p0,
+    or an element with denominator p0) are searched at the next prime and lose
+    no degree-1 map."""
+    for F in (make_field(12), make_field(16)):
+        p0, p1 = F.split_prime(0).p, F.split_prime(1).p
+        mu4 = list(roots_of_unity(F, 4))
+        A = FiniteSubset(F, [F.zero()] + [p0 * u for u in mu4])
+        B = FiniteSubset(F, [F.zero()] + [u / p0 for u in mu4])
+        C = FiniteSubset(F, [0, p0, Fraction(1, p0), 1, F.zeta(1)])
+        for X, Y in [(A, A), (B, B), (A, B), (A, C), (C, C)]:
+            assert _split_residues(X, Y)[0] == p1
+        assert len(_assert_maps_match_oracle(A, B)) == 4
+        assert not _assert_maps_match_oracle(A, C)
+        assert _assert_maps_match_oracle(C, C) == [LinearMap.identity(F)]
+        assert stabilizer(A).order == stabilizer(B).order == 4
+        assert stabilizer(C).order == 1
+        assert chi(A) == math.factorial(5) // 4
 
 
 def test_equivalence_examples(F12):

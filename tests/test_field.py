@@ -43,6 +43,9 @@ def test_zeta_powers_and_orders(F12):
     assert z.multiplicative_order() == 12
     assert F12.zeta(3).multiplicative_order() == 4
     assert F12.zeta(14) == F12.zeta(2)
+    for bad in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            z ** bad
     # zeta is a root of the modulus
     acc = F12.zero()
     for c in reversed(F12.modulus):
@@ -62,6 +65,23 @@ def test_rational_arithmetic_matches_fractions(F12):
         if b:
             assert (ea / eb).as_fraction() == a / b
         assert (ea < eb) == (a < b)
+    # a float, a str or a bool is not a rational scalar: rejected with
+    # TypeError at every entry point, never silently converted
+    x = F12.zeta(1)
+    for bad in (0.1, 0.5, "1/3", True, False):
+        with pytest.raises(TypeError):
+            F12.from_rational(bad)
+        with pytest.raises(TypeError):
+            F12.element([1, bad])
+        with pytest.raises(TypeError):
+            polyred.Poly(F12, [1, bad])
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            polyred.Poly(F12, [1, 1]) * bad
+        assert x != bad
 
 
 def _rand_elem(field, rng, span=9):

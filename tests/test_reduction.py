@@ -27,7 +27,7 @@ from polyred import (
     successors,
 )
 from polyred.reduction import _split_residues, compositions
-from helpers import (rand_element, rand_linear_map, rand_rational_set,
+from helpers import (rand_irrational_map, rand_linear_map, rand_rational_set,
                      reduction_oracle_q, successor_oracle)
 
 
@@ -162,16 +162,6 @@ def test_bad_split_prime_moves_to_next(F4):
         assert got and got == reduction_oracle_q(A_vals, B_vals)
 
 
-def _affine(F, rng):
-    """A random affine map whose slope and intercept are not rational."""
-    c = c0 = F.zero()
-    while c.is_rational():
-        c = rand_element(F, rng, span=2)
-    while c0.is_rational():
-        c0 = rand_element(F, rng, span=2)
-    return LinearMap(c, c0)
-
-
 def test_find_reductions_equivariant_over_extensions(F12):
     """find_reductions(f(A), g(B)) = {g o P o f^-1 : P in find_reductions(A, B)}
     for affine f and g with non-rational coefficients, over Q(zeta_12) and
@@ -199,7 +189,7 @@ def test_find_reductions_equivariant_over_extensions(F12):
             pairs.append((FiniteSubset(F, gon + [c * u for u in gon]),
                           FiniteSubset(F, [F.one(), c ** r])))
         for A, B in pairs:
-            f, g = _affine(F, rng), _affine(F, rng)
+            f, g = rand_irrational_map(F, rng), rand_irrational_map(F, rng)
             base = find_reductions(A, B)
             with_witness += bool(base)
             f_inv, g_poly = f.inverse().to_poly(), g.to_poly()
