@@ -2,7 +2,7 @@
 
 The oracles here deliberately avoid the library's search strategies: the
 reduction oracle enumerates raw value assignments and interpolates with
-sympy over Q, and the successor oracle enumerates set partitions with
+sympy over Q, the successor oracle enumerates set partitions with
 multiplicity vectors, and the linear-map oracle tries the n(n-1) maps that
 send the two least source elements to an ordered pair of targets.
 Agreement between these and the package routines is what the dual-route
