@@ -7,12 +7,12 @@ which renders as JSON or DOT.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .classes import canonical_invariant
-from .exceptional import is_exceptional
-from .reduction import (check_exact_preimage, chi, find_reductions,
-                        singleton_reduction)
+from .reduction import (check_exact_preimage, find_reductions,
+                        singleton_reduction, stabilizer)
 
 
 @dataclass
@@ -65,13 +65,17 @@ def build_poset(sets: dict) -> PosetReport:
         rep = min(labels)
         A = sets[rep]
         n = len(A)
+        chi = exceptional = None
+        if n >= 3:  # chi = n!/|G_A| and exceptionality share one search
+            order = stabilizer(A).order
+            chi, exceptional = math.factorial(n) // order, order > 1
         nodes.append({
             "label": rep,
             "members": sorted(labels),
             "n": n,
             "invariant": invs[rep].to_json_obj(),
-            "chi": chi(A) if n >= 3 else None,
-            "exceptional": is_exceptional(A) if n >= 3 else None,
+            "chi": chi,
+            "exceptional": exceptional,
         })
         reps.append(rep)
     relation = []

@@ -28,10 +28,12 @@ stabilizer and chi read the linear maps of A onto B off find_reductions.
 
 successors enumerates the root data of a prospective witness (a support in A
 with multiplicities) instead of target sets.  A candidate's image set is the
-product of precomputed difference powers (x_t - x_i)^e at each point outside
-the support; the degree window gamma(n-1) <= m-1 and the cap of gamma
-elements per fiber discard most candidates before any polynomial is built,
-and only the survivors reach the certificate.
+product of difference powers (x_t - x_i)^e at each point outside the support.
+The degree window gamma(n-1) <= m-1 is tested first on the images' residues
+modulo a split prime q good for A: distinct residues are at most as many as
+distinct images, so too many residues proves a rejection.  Only the
+survivors form exact images, which pass the exact window, the cap of gamma
+elements per fiber and the certificate.
 """
 from __future__ import annotations
 
@@ -401,19 +403,32 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     """The complete finite set of classes reachable from A.
 
     Candidates are built from the root data of a prospective witness: a
-    support I of p <= gamma elements of A with positive multiplicities e_i
+    support I of A of size <= gamma with positive multiplicities e_i
     summing to gamma, normalized so the least element j outside I maps to 1
     (other normalizations rescale the image linearly and cannot add classes).
-    The image of each x_t outside I is the product of the precomputed
-    difference powers (x_t - x_i)^e_i, so a candidate costs m - p products of
-    p factors and no polynomial.  Necessary conditions reject most candidates
-    before the certificate: the image set W = {0} U images has 2 <= n < m
-    elements, satisfies the degree window gamma(n-1) <= m-1 (the excess
-    multiplicities of the n fibers are roots of P', so gamma*n - m <= gamma-1)
-    and no fiber over a nonzero value has more than gamma elements.  Every
-    surviving image set through gamma = m-1 (or max_degree) is tested with
-    the exact preimage certificate and deduplicated by canonical invariant;
-    [A] and the singleton class are appended as trivial entries.
+    The image of each x_t outside I is the product of the difference powers
+    (x_t - x_i)^e_i, so a candidate costs m - size products of size factors
+    and no polynomial.  Necessary conditions reject most candidates before
+    the certificate: the image set W = {0} U images has 2 <= n < m elements,
+    satisfies the degree window gamma(n-1) <= m-1 (the excess multiplicities
+    of the n fibers are roots of P', so gamma*n - m <= gamma-1) and no fiber
+    over a nonzero value has more than gamma elements.  Every surviving image
+    set through gamma = m-1 (or max_degree) is tested with the exact preimage
+    certificate and deduplicated by canonical invariant; [A] and the
+    singleton class are appended as trivial entries.
+
+    The window runs first modulo the first split prime q that is good for A
+    (_split_residues): every denominator is prime to q and A's residues are
+    pairwise distinct.  The residue map zeta -> w is a ring homomorphism on
+    the elements whose denominators are prime to q, so an image's residue is
+    the product of its factors' residues, and it is a function of the exact
+    value: there are at most as many distinct residues as distinct exact
+    images.  More than max_n - 1 residues therefore proves that the exact
+    window rejects the candidate.  Rejected candidates never reach
+    seen_images, so the survivors meet the same dedup state in the same
+    order and the output is that of the exact loop.  The fiber cap and the
+    dedup do not survive merged residues, so they stay exact; no bad-prime
+    event can arise.
     """
     m = len(A)
     if m < 2:
@@ -437,19 +452,33 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
         pw.append(d)
         while len(pw) < top:
             pw.append(pw[-1] * d)
+    if top >= 2:
+        q, xr, _ = _split_residues(A, A)
+        # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
+        rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, top + 1)]
+               for i in range(m)] for t in range(m)]
     seen_images = set()
     for gamma in range(2, top + 1):
         # The degree window gamma(n-1) <= m-1; for gamma >= 2 it implies n < m.
         max_n = 1 + (m - 1) // gamma
-        for p in range(1, min(gamma, m - 1) + 1):
-            for I in combinations(range(m), p):
+        for size in range(1, min(gamma, m - 1) + 1):
+            for I in combinations(range(m), size):
                 in_support = set(I)
                 others = [j for j in range(m) if j not in in_support]
                 # The witness sends j = others[0] to 1 (c = 1/base(x_j)); the
                 # choice of j only rescales the image, so one representative
                 # per support suffices for classes.
-                for mults in compositions(gamma, p):
+                for mults in compositions(gamma, size):
                     roots = list(zip(I, mults))
+                    residues = set()
+                    for t in others:
+                        row = rp[t]
+                        r = 1
+                        for i, e in roots:
+                            r = r * row[i][e - 1] % q
+                        residues.add(r)
+                    if len(residues) + 1 > max_n:
+                        continue  # the exact images are at least as many
                     values = []
                     for t in others:
                         row = powers[t]

@@ -1,5 +1,6 @@
 """Command-line interface: schema, payloads, exit codes, poset output."""
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -348,6 +349,26 @@ def test_poset_edges_witnessed_and_acyclic(tmp_path, capsys):
         assert P.degree == e["degree"]
         assert check_exact_preimage(P, sets[e["source"]], sets[e["target"]])
     assert {(e["source"], e["target"]) for e in obj["edges"]} <= rel
+
+
+def test_poset_one_stabilizer_per_node(monkeypatch):
+    """chi and exceptionality of a node come from one stabilizer search."""
+    import polyred.poset
+    F = make_field(12)
+    calls = []
+    search = polyred.poset.stabilizer
+
+    def counting(B):
+        calls.append(len(B))
+        return search(B)
+
+    monkeypatch.setattr(polyred.poset, "stabilizer", counting)
+    report = build_poset({f"mu{d}": roots_of_unity(F, d) for d in (3, 4, 6, 12)})
+    assert sorted(calls) == [3, 4, 6, 12]
+    for node in report.nodes:
+        n = node["n"]  # mu_n is stabilized by its n rotations
+        assert node["chi"] == math.factorial(n) // n
+        assert node["exceptional"] is True
 
 
 def test_poset_dot_outputs(tmp_path, capsys):

@@ -260,6 +260,82 @@ def test_successors_match_partition_oracle(F12):
         assert got == successor_oracle(A)
 
 
+def _successor_keys(A):
+    return {sc.invariant.key() for sc in successors(A)}
+
+
+def test_successors_match_oracle_over_extensions(F12):
+    """Over Q(zeta_12) and Q(zeta_16), where the window filter's residues send
+    zeta to a root of unity other than 1: mu_d U {0} and rational sets moved
+    by affine maps with non-rational coefficients agree with the partition
+    oracle, and an affine image of A has the successor classes of A."""
+    for F in (F12, make_field(16)):
+        rng = random.Random(F.order + 1)
+        samples = [FiniteSubset(F, [F.zero()] + list(roots_of_unity(F, d)))
+                   for d in (2, 3, 4) if F.order % d == 0]
+        samples += [rand_rational_set(F, rng, m, span=4, den=2)
+                    for m in (4, 5, 5)]
+        for A in samples:
+            keys = []
+            for B in (A, A.map(rand_irrational_map(F, rng))):
+                res = successors(B)
+                got = {sc.invariant.key() for sc in res if not sc.trivial}
+                assert got == successor_oracle(B)
+                keys.append({sc.invariant.key() for sc in res})
+            assert keys[0] == keys[1]
+
+
+def test_successors_at_a_bad_split_prime(F12):
+    """Sets that are bad at the first split prime p0 (0 and p0 collide mod p0,
+    or p0 divides a denominator) are filtered at the next prime and lose no
+    class."""
+    for F in (F12, make_field(16)):
+        p0, p1 = F.split_prime(0).p, F.split_prime(1).p
+        q = Fraction(1, p0)
+        for vals in ([0, 1, -1, p0, -p0], [0, 1, -1, q, -q],
+                     [0, 1, p0, p0 + 1]):
+            A = _fs(F, vals)
+            assert _split_residues(A, A)[0] == p1
+            got = {sc.invariant.key() for sc in successors(A) if not sc.trivial}
+            assert got and got == successor_oracle(A)
+
+
+def test_successors_closed_under_composition(F8, F12):
+    """A <= B <= C gives A <= C, so the classes reachable from each
+    nontrivial successor B of A are among those reachable from A."""
+    samples = [_fs(F12, [0, 1, -1, 2, -2]), _fs(F12, range(-3, 4)),
+               FiniteSubset(F12, [F12.zero()] + list(roots_of_unity(F12, 6))),
+               roots_of_unity(F8, 8), _fs(F8, range(-3, 5))]
+    deeper = 0
+    for A in samples:
+        keys = _successor_keys(A)
+        for sc in successors(A):
+            if sc.trivial:
+                continue
+            sub = _successor_keys(sc.witness.target)
+            assert sub <= keys
+            deeper += len(sub) > 2
+    assert deeper > 0
+
+
+def test_successors_exact_product_count(F12, monkeypatch):
+    """The degree window runs on residues, so only its few survivors form
+    exact images: successors on {0, +-1, +-2, +-3} makes under 3000 exact
+    products (about 14,800 when every candidate's image is built exactly)."""
+    from polyred.field import FieldElement
+    A = _fs(F12, range(-3, 4))
+    calls = [0]
+    mul = FieldElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    successors(A)
+    assert 0 < calls[0] < 3000
+
+
 def test_successors_entries_verified(F12):
     A = _fs(F12, [0, 1, -1, 2, -2])
     res = successors(A)
