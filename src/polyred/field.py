@@ -257,7 +257,9 @@ class CyclotomicField:
         return f"CyclotomicField({self.order})"
 
 
-def _check_same_field(a: "FieldElement", b: "FieldElement"):
+def _check_same_field(a, b):
+    """Raise unless a and b (elements, polynomials or finite subsets: anything
+    with a .field) lie over the same field."""
     if a.field.order != b.field.order:
         raise FieldMismatchError(
             f"mixed fields Q(zeta_{a.field.order}) and Q(zeta_{b.field.order})")

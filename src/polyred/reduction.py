@@ -8,13 +8,14 @@ certificate is equivalent to exact preimage.
 
 find_reductions enumerates assignments of A's elements to B's elements fiber
 by fiber.  It walks the first gamma+1 elements as an incremental Newton
-interpolation and prunes prefixes whose fiber would exceed gamma elements or
-that can no longer reach every target; the remaining values are forced.  The
-walk runs modulo a split prime p = 1 (mod N), zeta -> w (field.split_prime).
-Each leaf is rejected mod p unless the leading coefficient is nonzero, the
-forced values are residues of B within the fiber cap, the map is onto, and
-every fiber's multiplicities, counted by synthetic division of P - b, sum to
-gamma.  Only the survivors are interpolated exactly and certified.
+interpolation and prunes prefixes whose fiber would exceed gamma elements;
+the remaining values are forced.  The walk runs modulo a split prime
+p = 1 (mod N), zeta -> w (field.split_prime).  Each leaf is rejected mod p
+unless the leading coefficient is nonzero, the forced values are residues of
+B, and every fiber's multiplicities, counted by synthetic division of P - b,
+sum to gamma.  Only the survivors are interpolated exactly and certified.
+The degree window already makes every such leaf onto, with at most gamma
+elements per fiber, so neither is tested.
 
 Filtering loses no witness when p is good for (A, B): every denominator is
 prime to p, and A's residues, and B's, are pairwise distinct.  A witness
@@ -32,13 +33,13 @@ product of difference powers (x_t - x_i)^e at each point outside the support.
 The degree window gamma(n-1) <= m-1 is tested first on the images' residues
 modulo a split prime q good for A: distinct residues are at most as many as
 distinct images, so too many residues proves a rejection.  Only the
-survivors form exact images, which pass the exact window, the cap of gamma
-elements per fiber and the certificate.
+survivors form exact images, and each new image set goes to the
+certificate, which implies the window and the cap of gamma elements per
+fiber.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -58,8 +59,8 @@ class DegreeWindow:
 
 def degree_bounds(m: int, n: int) -> DegreeWindow:
     """Integer degrees gamma with m/n <= gamma <= (m-1)/(n-1)."""
-    if not 2 <= n < m:
-        raise ValueError("degree bounds need 2 <= n < m")
+    if type(m) is not int or type(n) is not int or not 2 <= n < m:
+        raise ValueError(f"degree bounds need ints 2 <= n < m, got m={m!r}, n={n!r}")
     lo = -(-m // n)
     hi = (m - 1) // (n - 1)
     return DegreeWindow(m, n, tuple(range(lo, hi + 1)))
@@ -135,6 +136,8 @@ def check_exact_preimage(P, A: FiniteSubset, B: FiniteSubset) -> bool:
     """Whether P(A) = B with full multiplicity in every fiber (so A = P^{-1}(B))."""
     if isinstance(P, LinearMap):
         P = P.to_poly()
+    _check_same_field(P, A)
+    _check_same_field(P, B)
     if P.is_zero() or P.degree < 1:
         raise ValueError("constant polynomial cannot witness a reduction")
     return _fiber_certificate(P, A, B) is not None
@@ -174,13 +177,22 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
                    first_only: bool, residues) -> None:
     """Append every degree-gamma reduction from A onto B to out, in tree order.
 
-    rec assigns targets to the first gamma+1 elements of A, carrying divided
-    differences modulo the good split prime p of residues = (p, A mod p,
-    B mod p); the other values are forced.  A leaf is rejected when, mod p,
-    the leading coefficient vanishes, a forced value is not a residue of B
-    or overfills a fiber, the map is not onto, or some fiber's multiplicities
-    (counted by synthetic division of P - b) do not sum to gamma.  Only the
-    survivors are interpolated exactly and certified by _fiber_certificate.
+    rec assigns targets to the first gamma+1 elements of A, at most gamma to
+    each target, carrying divided differences modulo the good split prime p
+    of residues = (p, A mod p, B mod p); the other values are forced.  A leaf
+    is rejected when, mod p, the leading coefficient vanishes, a forced value
+    is not a residue of B, or some fiber's multiplicities (counted by
+    synthetic division of P - b) do not sum to gamma.  Only the survivors
+    are interpolated exactly and certified by _fiber_certificate.
+
+    The degree window m/n <= gamma <= (m-1)/(n-1) decides three checks, so
+    they are not run.  No forced value overfills a fiber: with the lead
+    nonzero mod p, P - b has at most gamma roots among A's distinct residues.
+    Every leaf is onto: an empty fiber would need m <= (n-1)gamma <= m-1.
+    No prefix leaves too few elements to reach every target: that needs
+    more than m-n repeated targets, but a prefix (gamma+1 values, at most
+    gamma per target) repeats at most gamma-1, and gamma-1 <= (gamma-1)(n-1)
+    <= m-n.
 
     This loses no witness.  For a witness P and b in B, P - b = c*prod(X - a)^e
     over the fiber of b, and c = (b' - b)/prod(a' - a)^e for a' in another
@@ -221,26 +233,22 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
         if fibers is not None:
             out.append(Reduction(P, A, B, gamma, fibers))
 
-    def rec(depth: int, dd: list, coeffs: list, used: int) -> None:
+    def rec(depth: int, dd: list, coeffs: list) -> None:
         if first_only and out:
             return
         if depth == k:
             lead = coeffs[-1]
             if not lead:
                 return  # degree below gamma mod p; a witness's lead is a p-unit
-            tail = counts[:]
             assign = path[:]
             for d in diffs:
                 v = lead
                 for t in range(k - 2, -1, -1):
                     v = (v * d[t] + coeffs[t]) % p
                 j = index.get(v)
-                if j is None or tail[j] >= gamma:
-                    return  # off B, or a fiber of more than gamma elements
-                tail[j] += 1
+                if j is None:
+                    return  # a forced value off B
                 assign.append(j)
-            if 0 in tail:
-                return  # not onto
             poly = [lead]  # the Newton form expanded, descending
             for t in range(k - 2, -1, -1):
                 xt = xr[t]
@@ -264,22 +272,19 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
         row = invd[depth]
         for j, v in enumerate(br):
             if counts[j] >= gamma:
-                continue
-            newly = 1 if counts[j] == 0 else 0
-            if nb - (used + newly) > m - depth - 1:
-                continue  # too few elements left to reach every target
+                continue  # a fiber of more than gamma elements
             ndd = [v]
             for t in range(depth):
                 ndd.append((ndd[t] - dd[t]) * row[depth - 1 - t] % p)
             counts[j] += 1
             path.append(j)
             coeffs.append(ndd[-1])
-            rec(depth + 1, ndd, coeffs, used + newly)
+            rec(depth + 1, ndd, coeffs)
             coeffs.pop()
             path.pop()
             counts[j] -= 1
 
-    rec(0, [], [], 0)
+    rec(0, [], [])
 
 
 def find_reductions(A: FiniteSubset, B: FiniteSubset,
@@ -408,27 +413,29 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     (other normalizations rescale the image linearly and cannot add classes).
     The image of each x_t outside I is the product of the difference powers
     (x_t - x_i)^e_i, so a candidate costs m - size products of size factors
-    and no polynomial.  Necessary conditions reject most candidates before
-    the certificate: the image set W = {0} U images has 2 <= n < m elements,
-    satisfies the degree window gamma(n-1) <= m-1 (the excess multiplicities
-    of the n fibers are roots of P', so gamma*n - m <= gamma-1) and no fiber
-    over a nonzero value has more than gamma elements.  Every surviving image
-    set through gamma = m-1 (or max_degree) is tested with the exact preimage
-    certificate and deduplicated by canonical invariant; [A] and the
-    singleton class are appended as trivial entries.
+    and no polynomial.  The degree window gamma(n-1) <= m-1 on the image set
+    W = {0} U images (the excess multiplicities of the n fibers are roots of
+    P', so gamma*n - m <= gamma-1) rejects most candidates; for gamma >= 2
+    it implies n < m.  Each new image set through gamma = m-1 (or
+    max_degree) is tested with the exact preimage certificate and
+    deduplicated by canonical invariant; [A] and the singleton class are
+    appended as trivial entries.
 
-    The window runs first modulo the first split prime q that is good for A
-    (_split_residues): every denominator is prime to q and A's residues are
-    pairwise distinct.  The residue map zeta -> w is a ring homomorphism on
-    the elements whose denominators are prime to q, so an image's residue is
-    the product of its factors' residues, and it is a function of the exact
-    value: there are at most as many distinct residues as distinct exact
-    images.  More than max_n - 1 residues therefore proves that the exact
-    window rejects the candidate.  Rejected candidates never reach
-    seen_images, so the survivors meet the same dedup state in the same
-    order and the output is that of the exact loop.  The fiber cap and the
-    dedup do not survive merged residues, so they stay exact; no bad-prime
-    event can arise.
+    The window is tested only modulo the first split prime q that is good
+    for A (_split_residues): every denominator is prime to q and A's
+    residues are pairwise distinct.  The residue map zeta -> w is a ring
+    homomorphism on the elements whose denominators are prime to q, so an
+    image's residue is the product of its factors' residues, and it is a
+    function of the exact value: there are at most as many distinct residues
+    as distinct exact images.  More than max_n - 1 residues therefore proves
+    that the window rejects the candidate, and no bad-prime event arises.
+
+    The certificate decides the rest, so two exact checks are not run.  A
+    fiber cap of gamma elements cannot fire: base - w is monic of degree
+    gamma.  An exact window test is implied by the certificate, and the
+    window only narrows as gamma grows, so an image set that fails it may
+    enter seen_images: every later candidate with that image set fails the
+    certificate too, and skipping it changes no output.
     """
     m = len(A)
     if m < 2:
@@ -452,11 +459,10 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
         pw.append(d)
         while len(pw) < top:
             pw.append(pw[-1] * d)
-    if top >= 2:
-        q, xr, _ = _split_residues(A, A)
-        # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
-        rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, top + 1)]
-               for i in range(m)] for t in range(m)]
+    q, xr, _ = _split_residues(A, A)
+    # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
+    rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, top + 1)]
+           for i in range(m)] for t in range(m)]
     seen_images = set()
     for gamma in range(2, top + 1):
         # The degree window gamma(n-1) <= m-1; for gamma >= 2 it implies n < m.
@@ -487,21 +493,10 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                         for i, e in roots[1:]:
                             v = v * row[i][e - 1]
                         values.append(v)
-                    fiber_sizes = Counter(values)
-                    # The window depends only on (gamma, n), so an image set
-                    # it rejects is rejected again at every later gamma and
-                    # may skip the dedup.  The fiber cap depends on the
-                    # candidate, so it runs after the dedup: each image set is
-                    # judged by its first candidate only.
-                    n = len(fiber_sizes) + 1
-                    if not 2 <= n <= max_n:
-                        continue
-                    images = frozenset(fiber_sizes)
+                    images = frozenset(values)
                     if images in seen_images:
                         continue
                     seen_images.add(images)
-                    if max(fiber_sizes.values()) > gamma:
-                        continue
                     base = Poly.from_roots(field, [(xs[i], e) for i, e in roots])
                     W = FiniteSubset(field, [zero, *images])
                     if _fiber_certificate(base, A, W) is None:

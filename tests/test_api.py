@@ -68,3 +68,20 @@ def test_module_layering():
             assert node.level == 1 and node.module in rank, (mod, node.module)
             assert id(node) in top_level, f"{mod} defers its import of {node.module}"
             assert rank[node.module] < rank[mod], f"{mod} imports {node.module}"
+
+
+def test_no_unused_module_imports():
+    """Every module-level import of a package module is used in it."""
+    src = pathlib.Path(polyred.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert bound <= used, f"{path.stem} imports unused {sorted(bound - used)}"

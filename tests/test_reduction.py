@@ -49,6 +49,9 @@ def test_degree_bounds():
         degree_bounds(3, 1)
     with pytest.raises(ValueError):
         degree_bounds(3, 3)
+    for m, n in [(5, 2.0), (7.0, 3), (Fraction(5), 2), (5, True), (True, 2)]:
+        with pytest.raises(ValueError):
+            degree_bounds(m, n)
 
 
 def test_compositions():
@@ -138,6 +141,21 @@ def test_find_reductions_against_interpolation_oracle(F1):
     got = {tuple(c.as_fraction() for c in r.poly.coeffs)
            for r in find_reductions(A, _fs(F1, [0, 1, 4]))}
     assert got == reduction_oracle_q([0, 1, -1, 2, -2], [0, 1, 4]) == {(0, 0, 1)}
+    # The top of a window, (n-1)gamma = m-1 at (m, n, gamma) = (4, 2, 3),
+    # where the window alone makes every leaf onto within the fiber cap, and
+    # a rational affine image of it; X^3 - 3X^2 has a double root in both
+    # fibers.
+    assert degree_bounds(4, 2).gammas == (2, 3)
+    tight = ([0, 3, -1, 2], [0, -4])
+    moved = ([Fraction(-3, 2) * a + Fraction(1, 5) for a in tight[0]],
+             [Fraction(2, 7) * b - 3 for b in tight[1]])
+    found = []
+    for A_vals, B_vals in (tight, moved):
+        got = {tuple(c.as_fraction() for c in r.poly.coeffs)
+               for r in find_reductions(_fs(F1, A_vals), _fs(F1, B_vals))}
+        assert len(got) == 4 and got == reduction_oracle_q(A_vals, B_vals)
+        found.append(got)
+    assert (0, 0, -3, 1) in found[0]
 
 
 def _coeff_fracs(reductions):
@@ -237,7 +255,9 @@ def test_mixed_fields_rejected_before_cardinality_shortcuts(F4, F12):
              (equivalent, two4, _fs(F12, [0, 1, 2])),       # 2 vs 3
              (reduces, two4, two12),                        # 2 -> 2
              (reduces, _fs(F4, [0, 1, 2]), _fs(F12, [5])),  # 3 -> 1
-             (reduces, two4, _fs(F12, [0, 1, 2]))]          # 2 -> 3
+             (reduces, two4, _fs(F12, [0, 1, 2])),          # 2 -> 3
+             (lambda A, B: check_exact_preimage(Poly(F12, [0, 0, 1]), A, B),
+              _fs(F12, [0, 1, -1]), _fs(F4, [0, 1]))]       # P, A over Q(zeta_12)
     for decide, A, B in cases:
         with pytest.raises(FieldMismatchError):
             decide(A, B)

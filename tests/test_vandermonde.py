@@ -57,6 +57,9 @@ def test_validations(F12):
     for svec in ((1.5, 0), (True, 0), ("1", 0)):
         with pytest.raises(ValueError):
             build_enriched(4, svec, ns)
+    for cols in (True, 2.5, 4.0, "4"):
+        with pytest.raises(ValueError):
+            build_enriched(cols, (0,), _nodes(F12, [1]))
 
 
 def test_rank_always_R_random(F12):
@@ -101,8 +104,9 @@ def test_general_matrix_rank_against_sympy(F1):
 
 
 def test_nullspace_against_sympy_rank(F1):
-    """The kernel has dimension n - rank, and its vectors are independent
-    solutions of the homogeneous system."""
+    """The kernel has dimension n - rank, its vectors are independent
+    solutions of the homogeneous system, and the basis is sympy's, vector
+    for vector (the one read off the reduced row echelon form)."""
     rng = random.Random(17)
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
@@ -111,6 +115,8 @@ def test_nullspace_against_sympy_rank(F1):
         kernel = nullspace(rows)
         M = sp.Matrix([[sp.Rational(e.as_fraction()) for e in row] for row in rows])
         assert len(kernel) == n - M.rank()
+        assert ([[sp.Rational(e.as_fraction()) for e in vec] for vec in kernel]
+                == [list(v) for v in M.nullspace()])
         for vec in kernel:
             for row in rows:
                 assert sum((c * x for c, x in zip(row, vec)), F1.zero()).is_zero()
