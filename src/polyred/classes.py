@@ -7,6 +7,15 @@ is the lexicographically least sorted lambda-tuple over all n(n-1) ordered
 anchor pairs.  Cardinalities 1 and 2 form a single class each and carry the
 empty invariant.
 
+The differences b_i - b_j are formed once per set, n(n-1)/2 subtractions and
+their negations, and every lambda-tuple reads them from that table.
+canonical_invariant screens the anchor pairs on the constant coordinate
+before it builds any tuple.  The screen is exact: a sorted tuple starts
+with its least lambda, so the winning tuple starts with the least lambda of
+all, and the order compares coordinate 0 first, so that lambda has the least
+constant coordinate of all; hence only anchor pairs whose least constant
+coordinate ties the global least can win.
+
 The maps themselves (linear_maps_between, equivalent, stabilizer, chi) are
 the witness search at degree 1, in reduction.py.
 """
@@ -15,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations
+from operator import mul
 
 from .field import CyclotomicField, FieldElement
 from .poly import _coerce
@@ -86,27 +96,48 @@ def lambda_tuple(B: FiniteSubset, i1: int, i2: int) -> tuple[FieldElement, ...]:
     n = len(B)
     if n < 3:
         raise ValueError("lambda tuples need at least 3 elements")
+    if type(i1) is not int or type(i2) is not int:
+        raise TypeError(f"anchor indices must be ints, got {i1!r} and {i2!r}")
     if i1 == i2 or not (0 <= i1 < n) or not (0 <= i2 < n):
         raise ValueError("anchor indices must be distinct and in range")
-    return _ratios(B, i1, i2, (B[i1] - B[i2]).inverse())
+    row = [B[i1] - b for b in B.elems]
+    return _ratios(row, i1, i2, row[i2].inverse())
 
 
-def _ratios(B: FiniteSubset, i1: int, i2: int, dinv: FieldElement) -> tuple[FieldElement, ...]:
-    """lambda_tuple(B, i1, i2) given dinv = 1/(b_i1 - b_i2)."""
-    lams = [(B[i1] - B[j]) * dinv for j in range(len(B)) if j != i1 and j != i2]
+def _differences(B: FiniteSubset) -> list[list[FieldElement]]:
+    """diff[i][j] = b_i - b_j: n(n-1)/2 subtractions and their negations."""
+    n = len(B)
+    diff = [[B.field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = B[i] - B[j]
+            diff[i][j], diff[j][i] = d, -d
+    return diff
+
+
+def _ratios(row, i1: int, i2: int, dinv: FieldElement) -> tuple[FieldElement, ...]:
+    """lambda_tuple(B, i1, i2) from row[j] = b_i1 - b_j and dinv = 1/(b_i1 - b_i2)."""
+    lams = [x * dinv for j, x in enumerate(row) if j != i1 and j != i2]
     lams.sort()
     return tuple(lams)
 
 
-def _all_lambda_tuples(B: FiniteSubset):
-    """lambda_tuple over all n(n-1) ordered anchor pairs, one inverse per
-    unordered pair: 1/(b_i2 - b_i1) is the negated 1/(b_i1 - b_i2)."""
-    n = len(B)
+def _anchor_inverses(diff):
+    """(i1, i2, 1/(b_i1 - b_i2)) over all n(n-1) ordered anchor pairs, one
+    inverse per unordered pair: 1/(b_i2 - b_i1) is the negated 1/(b_i1 - b_i2)."""
+    n = len(diff)
     for i1 in range(n):
         for i2 in range(i1 + 1, n):
-            dinv = (B[i1] - B[i2]).inverse()
-            yield _ratios(B, i1, i2, dinv)
-            yield _ratios(B, i2, i1, -dinv)
+            dinv = diff[i1][i2].inverse()
+            yield i1, i2, dinv
+            yield i2, i1, -dinv
+
+
+def _all_lambda_tuples(B: FiniteSubset):
+    """lambda_tuple over all n(n-1) ordered anchor pairs."""
+    diff = _differences(B)
+    for i1, i2, dinv in _anchor_inverses(diff):
+        yield _ratios(diff[i1], i1, i2, dinv)
 
 
 @dataclass(frozen=True)
@@ -125,11 +156,37 @@ class ClassInvariant:
 
 
 def canonical_invariant(B: FiniteSubset) -> ClassInvariant:
-    """Lexicographic minimum of lambda_tuple over all ordered anchor pairs."""
+    """Lexicographic minimum of lambda_tuple over all ordered anchor pairs.
+
+    Only the anchors whose least constant coordinate ties the global least
+    build their tuples (the screen in the module docstring).  For
+    dinv = y/e, y an integer vector, the constant coordinate of
+    lambda = (u/c) * dinv is (u . r)/(c e) with r = _constant_row(y), and
+    r negates with dinv, so each lambda costs one dot product.
+    """
     n = len(B)
     if n <= 2:
         return ClassInvariant(n, ())
-    return ClassInvariant(n, min(_all_lambda_tuples(B)))
+    row_of = B.field._constant_row
+    diff = _differences(B)
+    best, tied = None, []
+    for i1, i2, dinv in _anchor_inverses(diff):
+        if i1 < i2:
+            r = row_of(dinv.num)
+        else:  # the pair (i2, i1) came just before, with -dinv
+            r = [-c for c in r]
+        e = dinv.den
+        head = None
+        for j, x in enumerate(diff[i1]):
+            if j != i1 and j != i2:
+                s, q = sum(map(mul, x.num, r)), x.den * e
+                if head is None or s * head[1] < head[0] * q:
+                    head = (s, q)
+        if best is None or head[0] * best[1] < best[0] * head[1]:
+            best, tied = head, []
+        if head[0] * best[1] == best[0] * head[1]:
+            tied.append((i1, i2, dinv))
+    return ClassInvariant(n, min(_ratios(diff[i1], i1, i2, dinv) for i1, i2, dinv in tied))
 
 
 def characteristic_lambda_points(B: FiniteSubset) -> set:

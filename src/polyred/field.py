@@ -12,8 +12,12 @@ Fraction.  Fraction appears only at the boundary: the coords view (and so
 encode and str), as_fraction, and Fraction input to element and from_rational.
 The only rational scalars are int (not bool) and Fraction: TypeError otherwise.
 
-Inversion is integer-only as well: the product of the Galois conjugates of an
-element, divided by its norm.
+Inversion is integer-only as well: the product P of the Galois conjugates
+sigma_k(v), k != 1, of an integer vector v, divided by its norm v*P.  The unit
+group (Z/N)^* is split once per field into a chain of generators g_i with
+relative orders m_i, and P is built factor by factor with the doubling chain
+P_(a+b) = P_a * sigma_(g^a)(P_b) of Itoh and Tsujii, so a factor of order m
+costs O(log m) products instead of m - 1.
 
 ``sqrt`` is a decision procedure in integer arithmetic: it takes square roots
 modulo a prime, Hensel-lifts them past a proven coefficient bound and checks
@@ -44,6 +48,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from operator import mul
 
 
 class FieldMismatchError(ValueError):
@@ -109,8 +114,8 @@ def make_field(order: int) -> "CyclotomicField":
 class CyclotomicField:
     """Q(zeta_N) with exact power-basis arithmetic modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "degree", "modulus", "_powers", "_galois", "_zeta", "_sqrt",
-                 "_split")
+    __slots__ = ("order", "degree", "modulus", "_powers", "_constants", "_units", "_zeta",
+                 "_sqrt", "_split")
 
     def __init__(self, order: int):
         if not isinstance(order, int) or isinstance(order, bool):
@@ -135,8 +140,10 @@ class CyclotomicField:
             if top:
                 row = [r + top * t for r, t in zip(row, top_row)]
         self._powers = tuple(powers)
-        # exponents k of the nontrivial automorphisms sigma_k: z -> z^k
-        self._galois = tuple(k for k in range(2, order) if math.gcd(k, order) == 1)
+        # _constants[k] = constant coordinate of z^k, k = 0..2d-2: every
+        # exponent of a product of two coordinate vectors
+        self._constants = tuple(powers[k % order][0] for k in range(2 * d - 1))
+        self._units = None  # _unit_chain(order), built by the first inverse
         self._zeta = self._make(powers[1 % order], 1)
         self._sqrt = None  # _SqrtData, built by the first FieldElement.sqrt
         self._split = []  # _SplitPrime list, extended by split_prime
@@ -181,7 +188,13 @@ class CyclotomicField:
                         num[i] += c * row[i]
         return num
 
-    def _conjugate(self, num: tuple[int, ...], k: int) -> "FieldElement":
+    def _constant_row(self, y) -> list[int]:
+        """The integer row r with r . x = constant coordinate of the product of
+        the integer vectors x and y: r_i = sum_j y_j const(z^(i+j))."""
+        c, d = self._constants, self.degree
+        return [sum(map(mul, y, c[i:i + d])) for i in range(d)]
+
+    def _conjugate(self, num, k: int) -> list[int]:
         """sigma_k(num): the integer vector num with z replaced by z^k."""
         n, powers = self.order, self._powers
         out = [0] * self.degree
@@ -190,7 +203,7 @@ class CyclotomicField:
                 for i, c in enumerate(powers[j * k % n]):
                     if c:
                         out[i] += v * c
-        return self._make(tuple(out), 1)
+        return out
 
     def _from_pairs(self, pairs) -> "FieldElement":
         """Element from integer (numerator, positive denominator) coordinate
@@ -351,6 +364,27 @@ def _multiplicative_order(k: int, n: int) -> int:
     while x != 1 % n:
         x, e = x * k % n, e + 1
     return e
+
+
+def _unit_chain(n: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (g_i, m_i) splitting (Z/N)^* into cyclic factors: with
+    H_i = <g_1, ..., g_i>, m_i = [H_i : H_(i-1)] is the least m with g_i^m in
+    H_(i-1), so every unit is g_1^a_1 ... g_r^a_r for exactly one choice of
+    0 <= a_i < m_i.  Each g_i is the least unit of the largest relative order."""
+    units = [k for k in range(2, n) if math.gcd(k, n) == 1]
+    group, chain = {1}, []
+    while len(group) <= len(units):
+        best = None
+        for k in units:
+            m, x = 1, k
+            while x not in group:
+                x, m = x * k % n, m + 1
+            if best is None or m > best[1]:
+                best = (k, m)
+        g, m = best
+        group = {h * pow(g, a, n) % n for h in group for a in range(m)}
+        chain.append(best)
+    return tuple(chain)
 
 
 def _is_prime(p: int) -> bool:
@@ -554,6 +588,14 @@ class FieldElement:
         sigma_k(v), z -> z^k for k != 1 in (Z/N)^*, multiply to an integer
         element P with v*P = N(v), the norm of v: a nonzero rational integer.
         Hence 1/self = den*P/N(v).
+
+        P is built over the chain (g_i, m_i) of _unit_chain.  With Q the
+        product of sigma_h(v) over h in H_(i-1), the factor g_i contributes
+        T = prod_(1 <= a < m_i) sigma_(g_i^a)(Q) = sigma_(g_i)(Q_(m_i - 1)),
+        where Q_a = prod_(e < a) sigma_(g_i^e)(Q) follows the doubling chain
+        Q_2a = Q_a * sigma_(g_i^a)(Q_a) and Q_(a+1) = Q * sigma_(g_i)(Q_a):
+        O(log m_i) products.  Then P <- P*T and Q <- Q*T.  The norm is the
+        constant coordinate of v*P, the only one that does not vanish.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
@@ -561,16 +603,23 @@ class FieldElement:
         v = self.num
         if fld.degree == 1:
             return fld._normalized([self.den], v[0])
-        prod = None
-        for k in fld._galois:
-            conj = fld._conjugate(v, k)
-            prod = conj if prod is None else prod * conj
-        # N(v) is the constant coordinate of v*P; the others vanish.
-        powers, n = fld._powers, fld.order
-        norm = sum(vi * pj * powers[(i + j) % n][0]
-                   for i, vi in enumerate(v) if vi
-                   for j, pj in enumerate(prod.num) if pj)
-        return fld._normalized([self.den * c for c in prod.num], norm)
+        if fld._units is None:
+            fld._units = _unit_chain(fld.order)
+        product, conjugate, n = fld._product, fld._conjugate, fld.order
+        chain = fld._units
+        prod, full = None, v
+        for index, (g, m) in enumerate(chain):
+            part, a = full, 1
+            for bit in bin(m - 1)[3:]:
+                part, a = product(part, conjugate(part, pow(g, a, n))), 2 * a
+                if bit == "1":
+                    part, a = product(full, conjugate(part, g)), a + 1
+            t = conjugate(part, g)
+            prod = t if prod is None else product(prod, t)
+            if index + 1 < len(chain):
+                full = product(full, t)
+        norm = sum(map(mul, v, fld._constant_row(prod)))
+        return fld._normalized([self.den * c for c in prod], norm)
 
     def __truediv__(self, other):
         o = self._co(other)

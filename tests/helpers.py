@@ -3,11 +3,14 @@
 The oracles here deliberately avoid the library's search strategies: the
 reduction oracle enumerates raw value assignments and interpolates with
 sympy over Q, the successor oracle enumerates set partitions with
-multiplicity vectors, and the linear-map oracle tries the n(n-1) maps that
-send the two least source elements to an ordered pair of targets.
+multiplicity vectors, the linear-map oracle tries the n(n-1) maps that
+send the two least source elements to an ordered pair of targets, the
+inverse oracle multiplies all phi(N) - 1 Galois conjugates one by one, and
+the invariant oracle takes the minimum over every full lambda-tuple.
 Agreement between these and the package routines is what the dual-route
 tests assert.
 """
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -217,3 +220,43 @@ def linear_maps_oracle(A, B):
                 out.append(f)
     out.sort(key=lambda f: (f.slope, f.intercept))
     return out
+
+
+def inverse_oracle(x):
+    """1/x as the product P of the conjugates sigma_k(x), k != 1 in
+    (Z/N)^*, divided by the rational norm x*P; each sigma_k(x) is summed
+    from the powers zeta^(jk), and no FieldElement.inverse is called."""
+    field = x.field
+    N = field.order
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero field element")
+    P = field.one()
+    for k in range(2, N):
+        if math.gcd(k, N) == 1:
+            conj = field.zero()
+            for j, c in enumerate(x.coords):
+                if c:
+                    conj = conj + field.zeta(j * k) * c
+            P = P * conj
+    return P * (1 / (x * P).as_fraction())
+
+
+def canonical_invariant_oracle(B):
+    """The lexicographic minimum, over all n(n-1) ordered anchor pairs, of the
+    sorted ratios (b_i1 - b_j)/(b_i1 - b_i2), divided by inverse_oracle."""
+    from polyred import ClassInvariant
+
+    n = len(B)
+    if n <= 2:
+        return ClassInvariant(n, ())
+    best = None
+    for i1 in range(n):
+        for i2 in range(n):
+            if i1 == i2:
+                continue
+            dinv = inverse_oracle(B[i1] - B[i2])
+            lams = tuple(sorted((B[i1] - B[j]) * dinv for j in range(n)
+                                if j != i1 and j != i2))
+            if best is None or lams < best:
+                best = lams
+    return ClassInvariant(n, best)

@@ -23,8 +23,8 @@ from polyred import (
     stabilizer,
 )
 from polyred.reduction import _split_residues
-from helpers import (linear_maps_oracle, rand_element, rand_irrational_map,
-                     rand_linear_map, rand_rational_set)
+from helpers import (canonical_invariant_oracle, linear_maps_oracle, rand_element,
+                     rand_irrational_map, rand_linear_map, rand_rational_set)
 
 
 def equiv_oracle_q(A_vals, B_vals):
@@ -242,6 +242,9 @@ def test_lambda_tuple_shape_and_example(F12):
         lambda_tuple(_fs(F12, [0, 1]), 0, 1)
     with pytest.raises(ValueError):
         lambda_tuple(B, 1, 1)
+    for i1, i2 in ((True, 0), (0, False), (1.0, 0), (0, 2.5)):
+        with pytest.raises(TypeError):
+            lambda_tuple(B, i1, i2)
     rng = random.Random(5)
     for _ in range(25):
         S = rand_rational_set(F12, rng, rng.randint(3, 6))
@@ -274,6 +277,23 @@ def test_canonical_invariant_examples(F12):
     assert [x.as_fraction() for x in inv.lambdas] == [-2]
     assert canonical_invariant(_fs(F12, [4])) == ClassInvariant(1, ())
     assert canonical_invariant(_fs(F12, [4, 9])) == ClassInvariant(2, ())
+
+
+def test_canonical_invariant_against_oracle():
+    """The screened route against the full minimum over every lambda-tuple:
+    random, rational and rational-image sets, and gon unions with and
+    without the barycentre, whose stabilizer ties many anchor pairs."""
+    rng = random.Random(81)
+    for order in (4, 12, 13, 16):
+        F = make_field(order)
+        cases = [_rand_set(F, rng, n) for n in (1, 2, 3, 4, 5, 6)]
+        cases += [rand_rational_set(F, rng, n) for n in (1, 2, 3, 5, 6)]
+        cases += [A.map(rand_irrational_map(F, rng)) for A in cases[-2:]]
+        for r in (r for r in (2, 3, 4) if order % r == 0):
+            for s in (1, 2):
+                cases += [_gon_union(F, rng, r, s, False), _gon_union(F, rng, r, s, True)]
+        for A in cases:
+            assert canonical_invariant(A) == canonical_invariant_oracle(A), (order, A)
 
 
 def test_invariant_decides_equivalence(F12):

@@ -13,6 +13,8 @@ import sympy as sp
 
 import polyred
 from polyred import FieldMismatchError, make_field
+from polyred.field import _unit_chain
+from helpers import inverse_oracle
 
 
 def test_cyclotomic_modulus_against_sympy():
@@ -122,8 +124,12 @@ def test_multiplication_against_sympy_polynomial_reduction(F12):
 
 
 def test_inverse_against_sympy():
+    """Against sympy and the one-by-one conjugate product.  The unit groups
+    are cyclic (2, 4, 7, 13, 17), C2 x C2 (12), C2 x C4 (15, 16), C2 x C6
+    (21), C2 x C2 x C2 (24) and C2 x C2 x C4 (60), so the Itoh-Tsujii chain
+    meets factor orders 2 to 16 and up to three factors."""
     y = sp.Symbol("y")
-    for order in (2, 4, 7, 12, 13, 16, 17):  # degrees 1, 2, 6, 4, 12, 8, 16
+    for order in (2, 4, 7, 12, 13, 15, 16, 17, 21, 24, 60):
         F = make_field(order)
         cyc = sp.Poly(sp.cyclotomic_poly(order, y), y, domain="QQ")
         rng = random.Random(23 + order)
@@ -138,9 +144,20 @@ def test_inverse_against_sympy():
             got = sp.Poly([sp.Rational(c) for c in reversed(a.inverse().coords)], y,
                           domain="QQ")
             assert got == sp.invert(pa, cyc), (order, a)
+            assert a.inverse() == inverse_oracle(a), (order, a)
         assert fractional and negative, order
         with pytest.raises(ZeroDivisionError):
             F.zero().inverse()
+
+
+def test_unit_chain_covers_each_unit_once():
+    for order in (3, 12, 15, 16, 21, 24, 60, 63, 105):
+        chain = _unit_chain(order)
+        units = {1}
+        for g, m in chain:
+            units = {u * pow(g, a, order) % order for u in units for a in range(m)}
+        assert math.prod(m for _, m in chain) == len(units) == make_field(order).degree
+    assert _unit_chain(60) == ((7, 4), (11, 2), (13, 2))
 
 
 def test_total_order_is_consistent(F12):
