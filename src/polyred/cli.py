@@ -12,6 +12,11 @@ resolves each label, and hands the sets to the handler (a file command that
 names no label gets every set of the file).  Each handler returns
 (payload, summary).  The library logic lives in the other modules; the
 reducibility diagram is polyred.poset.build_poset.
+
+main builds one subparser per call, the one argv[0] names, since building
+all fourteen cost more than many commands do.  Help, a missing or unknown
+command and unrecognized arguments are handled by the full parser, so their
+text and exit code are those of a parser holding every subparser.
 """
 from __future__ import annotations
 
@@ -30,8 +35,10 @@ from .reduction import (chi, degree_bounds, find_reductions, linear_maps_between
                         stabilizer, successors)
 from .vandermonde import build_enriched, exact_rank
 
-# Largest accepted cyclotomic order: building Q(zeta_N) costs about 0.1 s at
-# N = 512 and grows five- to sixfold per doubling of N.
+# Largest accepted cyclotomic order.  Building Q(zeta_N) is cheap (8 ms at
+# N = 512); the arithmetic grows.  On a 2-core Xeon, one inverse of an element
+# with coordinates in [-5, 5] takes 0.15 s at N = 512, five- to sixfold more
+# per doubling of N, and one square root there (predecessor) takes 12 s.
 MAX_ORDER = 512
 
 
@@ -295,12 +302,14 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  When `command` names an entry of COMMANDS, only
+    that entry's subparser is added; otherwise all of them are."""
     parser = argparse.ArgumentParser(
         prog="polyred",
         description="Exact polynomial-reducibility workbench over Q(zeta_N)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
+    for cmd in [c for c in COMMANDS if c.name == command] or COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
         if cmd.labels is not None:
             p.add_argument("-f", "--file", required=True,
@@ -323,8 +332,10 @@ def _run(cmd: Command, args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:  # the full parser reports them, with its usage line, and exits 2
+        build_parser().parse_args(argv)
     try:
         payload, summary = _run(args.spec, args)
     except (ValueError, ArithmeticError, OSError) as e:

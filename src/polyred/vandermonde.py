@@ -11,14 +11,26 @@ nullspace is the package's one elimination kernel: exact Gauss-Jordan
 elimination in column order, pivoting on the first nonzero entry of each
 column.  Exactness means there is no stability concern, and the entries are
 ratios of minors whatever the pivot order, so no pivot search is made.
-exact_rank is the column count minus the kernel's dimension.
+
+exact_rank first ranks the matrix modulo the field's first split prime p:
+reduction modulo a prime over p is a ring map on the elements whose
+denominators p does not divide, so a minor that is nonzero mod p is nonzero,
+and a mod-p rank equal to min(rows, cols), the most a rank can be, is the
+exact rank.  Enriched Vandermonde matrices have full row rank R, so this
+almost always decides; otherwise the rank is the column count minus the
+dimension of nullspace's kernel.
+
+Both take the field from the first field element of the matrix and coerce
+rational entries into it; a matrix without a field element, an empty one,
+ragged rows and mixed fields are rejected with ValueError (FieldMismatchError
+for mixed fields).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .field import FieldElement
+from .field import CyclotomicField, FieldElement
 from .poly import _coerce
 
 
@@ -78,6 +90,42 @@ def build_enriched(gamma_plus_1: int, s_vec, a_vec) -> EnrichedVandermonde:
     return EnrichedVandermonde(gamma_plus_1, svec, nodes, tuple(rows))
 
 
+def _field_matrix(rows) -> tuple[list[list[FieldElement]], CyclotomicField]:
+    """The rows as lists of elements of one field, and the field: that of the
+    first field element, into which rational entries are coerced."""
+    mat = [list(r) for r in rows]
+    if not mat or not mat[0]:
+        raise ValueError("empty matrix")
+    ncols = len(mat[0])
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("matrix rows must have equal length")
+    field = next((e.field for r in mat for e in r if isinstance(e, FieldElement)),
+                 None)
+    if field is None:
+        raise ValueError("matrix entries must include a field element")
+    return [[_coerce(field, e) for e in r] for r in mat], field
+
+
+def _rank_mod(mat: list[list[int]], p: int) -> int:
+    """Rank of a matrix of residues modulo the prime p; mat is overwritten."""
+    m, rank = len(mat), 0
+    for col in range(len(mat[0])):
+        pi = next((i for i in range(rank, m) if mat[i][col]), None)
+        if pi is None:
+            continue
+        mat[rank], mat[pi] = mat[pi], mat[rank]
+        pivot = mat[rank]
+        inv = pow(pivot[col], -1, p)
+        for i in range(rank + 1, m):
+            f = mat[i][col] * inv % p
+            if f:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], pivot)]
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
 def nullspace(rows) -> tuple[tuple[FieldElement, ...], ...]:
     """A basis of the kernel {x : rows x = 0} of a nonempty matrix of field
     elements, one vector per free column, in column order.
@@ -92,13 +140,8 @@ def nullspace(rows) -> tuple[tuple[FieldElement, ...], ...]:
     is the one read off the reduced row echelon form, with a 1 at its free
     column; it equals sympy's Matrix.nullspace() vector for vector.
     """
-    m = len(rows)
-    if m == 0:
-        raise ValueError("empty matrix")
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
-        raise ValueError("matrix rows must have equal length")
+    mat, field = _field_matrix(rows)
+    m, ncols = len(mat), len(mat[0])
     pivots = []  # pivots[i] = the column of row i's leading one
     for col in range(ncols):
         rank = len(pivots)
@@ -113,7 +156,6 @@ def nullspace(rows) -> tuple[tuple[FieldElement, ...], ...]:
             if i != rank and not f.is_zero():
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
-    field = mat[0][0].field
     zero, one = field.zero(), field.one()
     basis = []
     for free in sorted(set(range(ncols)) - set(pivots)):
@@ -126,11 +168,23 @@ def nullspace(rows) -> tuple[tuple[FieldElement, ...], ...]:
 
 
 def exact_rank(rows) -> int:
-    """Rank of a matrix of field elements: the column count minus the
-    dimension of its kernel.
+    """Rank of a matrix of field elements.
+
+    The entries are reduced modulo the field's first split prime p.  When p
+    divides no denominator and the rank mod p is min(rows, cols), that is
+    the rank: reduction cannot raise a rank, and no rank exceeds
+    min(rows, cols).  Otherwise the rank is the column count minus the
+    dimension of the exact kernel.
 
     The rows are not scaled by the lcm of their denominators first.  A row
     scaled by c stays c times its unscaled self under elimination until it
     becomes a pivot row, where normalizing the pivot removes c, so the
     reduced form is the same, and the scaling only cost time."""
-    return len(rows[0]) - len(nullspace(rows)) if rows else 0
+    mat, field = _field_matrix(rows)
+    full = min(len(mat), len(mat[0]))
+    prime = field.split_prime(0)
+    residues = [[prime.residue(e) for e in row] for row in mat]
+    if (all(None not in row for row in residues)
+            and _rank_mod(residues, prime.p) == full):
+        return full
+    return len(mat[0]) - len(nullspace(mat))

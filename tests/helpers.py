@@ -35,6 +35,25 @@ def rand_element(field, rng, span=6):
     return field.element(coords)
 
 
+def rand_enriched_shape(field, rng):
+    """(cols, s_vec, nodes) of a random enriched Vandermonde instance:
+    1 <= cols <= 10, up to four distinct nodes, R = sum(s_l + 1) <= cols."""
+    cols = rng.randint(1, 10)
+    k = rng.randint(1, min(cols, 4))
+    budget = cols - k
+    svec = []
+    for _ in range(k):
+        s = rng.randint(0, min(2, budget))
+        svec.append(s)
+        budget -= s
+    nodes = []
+    while len(nodes) < k:
+        a = rand_element(field, rng, span=3)
+        if a not in nodes:
+            nodes.append(a)
+    return cols, svec, nodes
+
+
 def rand_linear_map(field, rng):
     from polyred import LinearMap
     slope = field.zero()

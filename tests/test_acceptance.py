@@ -11,7 +11,8 @@ import time
 from fractions import Fraction
 
 import conftest
-from helpers import rand_element, rand_linear_map, rand_rational_set, successor_oracle
+from helpers import (rand_element, rand_enriched_shape, rand_linear_map, rand_rational_set,
+                     successor_oracle)
 from polyred import (
     FiniteSubset,
     build_enriched,
@@ -254,20 +255,8 @@ def test_criterion_09_vandermonde_rank():
     F = F12
     rng = random.Random(9009)
     for _ in range(200):
-        cols = rng.randint(1, 10)
-        k = rng.randint(1, min(cols, 4))
-        budget = cols - k
-        svec = []
-        for _ in range(k):
-            s = rng.randint(0, min(2, budget))
-            svec.append(s)
-            budget -= s
-        nodes = []
-        while len(nodes) < k:
-            a = rand_element(F, rng, span=3)
-            if a not in nodes:
-                nodes.append(a)
-        R = sum(svec) + k
+        cols, svec, nodes = rand_enriched_shape(F, rng)
+        R = sum(svec) + len(svec)
         M = build_enriched(cols, svec, nodes)
         assert M.row_count == R
         assert exact_rank(M.rows) == R

@@ -1,4 +1,5 @@
 """Command-line interface: schema, payloads, exit codes, poset output."""
+import argparse
 import json
 import math
 from fractions import Fraction
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from polyred import FiniteSubset, make_field, roots_of_unity
-from polyred.cli import (MAX_ORDER, SetFile, SetFileError, build_poset,
-                         emit_set_file, main, parse_set_text)
+from polyred.cli import (COMMANDS, MAX_ORDER, SetFile, SetFileError, build_parser,
+                         build_poset, emit_set_file, main, parse_set_text)
 
 DATA = Path(__file__).parent / "data"
 
@@ -408,3 +409,30 @@ def test_usage_errors_exit_2(capsys):
         main(["invariant"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+USAGE_GOLDEN = json.loads((DATA / "cli_usage_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_GOLDEN,
+                         ids=[" ".join(c["argv"]) or "(none)" for c in USAGE_GOLDEN])
+def test_usage_text_pinned(case, capsys, monkeypatch):
+    """Help and usage errors, top level and per command: exit code, stdout and
+    stderr byte for byte as in tests/data/cli_usage_golden.json, which was
+    captured from a parser holding all the subparsers, at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_build_parser_adds_only_the_named_command():
+    def choices(parser):
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices)
+    every = [c.name for c in COMMANDS]
+    assert choices(build_parser("invariant")) == ["invariant"]
+    assert choices(build_parser()) == every
+    assert choices(build_parser("inv")) == every
+    assert choices(build_parser("--help")) == every

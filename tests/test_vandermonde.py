@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
-from polyred import Poly, build_enriched, exact_rank, make_field, nullspace
-from helpers import rand_element
+from polyred import (FieldMismatchError, Poly, build_enriched, exact_rank, make_field,
+                     nullspace, vandermonde)
+from helpers import rand_element, rand_enriched_shape
 
 
 def _nodes(F, vals):
@@ -174,3 +176,119 @@ def test_kernel_basis_multiplicities_random(F12):
             assert not P.is_zero()
             for a, s in zip(nodes, svec):
                 assert all(P.derivative(k)(a).is_zero() for k in range(s + 1))
+
+
+def _rank_over_q(rows):
+    """Rank over Q(zeta_N) from sympy alone: each entry x becomes the
+    phi(N) x phi(N) rational matrix of multiplication by x modulo the N-th
+    cyclotomic polynomial, and the rank over Q of the block matrix is phi(N)
+    times the rank over Q(zeta_N)."""
+    z = sp.Symbol("z")
+    mod = sp.Poly(sp.cyclotomic_poly(rows[0][0].field.order, z), z, domain=sp.QQ)
+    d = mod.degree()
+
+    def columns(x):
+        px = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(x.coords)],
+                     z, domain=sp.QQ)
+        out = []
+        for j in range(d):
+            c = (px * sp.Poly(z**j, z, domain=sp.QQ)).rem(mod).all_coeffs()[::-1]
+            out.append(c + [0] * (d - len(c)))
+        return out
+
+    big = []
+    for row in rows:
+        blocks = [columns(x) for x in row]
+        big += [[col[i] for cols in blocks for col in cols] for i in range(d)]
+    rank = DomainMatrix.from_Matrix(sp.Matrix(big)).to_field().rank()
+    assert rank % d == 0
+    return rank // d
+
+
+@pytest.fixture
+def nullspace_calls(monkeypatch):
+    """Count the exact kernels exact_rank falls back to."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return nullspace(rows)
+
+    monkeypatch.setattr(vandermonde, "nullspace", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [12, 16])
+def test_rank_mod_p_against_kernel_and_sympy(order, nullspace_calls):
+    """exact_rank equals the kernel rank and sympy's rank on tall, wide,
+    rank-deficient, zero-column and bad-prime matrices; it falls back to the
+    exact kernel exactly when the rank is below min(rows, cols) or the split
+    prime divides a denominator."""
+    F = make_field(order)
+    p = F.split_prime(0).p
+    rng = random.Random(order)
+
+    def entry():
+        return rand_element(F, rng, span=3) / rng.randint(1, 4)
+
+    for shape in ("tall", "wide", "deficient", "zero column", "bad prime") * 5:
+        if shape == "tall":
+            n = rng.randint(1, 3)
+            m = n + rng.randint(1, 2)
+        elif shape == "wide":
+            m = rng.randint(1, 3)
+            n = m + rng.randint(1, 2)
+        elif shape == "deficient":
+            m = rng.randint(2, 4)
+            n = rng.randint(m, 5)
+        else:
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        if shape == "deficient":  # the last row combines the others
+            cs = [entry() for _ in range(m - 1)]
+            rows[-1] = [sum((c * r[j] for c, r in zip(cs, rows)), F.zero())
+                        for j in range(n)]
+        elif shape == "zero column":
+            j = rng.randrange(n)
+            for r in rows:
+                r[j] = F.zero()
+        elif shape == "bad prime":
+            m = n = min(m, n)
+            rows = [r[:n] for r in rows[:m]]
+            rows[rng.randrange(m)][rng.randrange(n)] = F.from_rational(Fraction(1, p))
+        before = len(nullspace_calls)
+        rank = exact_rank(rows)
+        fell_back = len(nullspace_calls) - before
+        assert rank == n - len(nullspace(rows)) == _rank_over_q(rows)
+        assert fell_back == (rank < min(m, n) or shape == "bad prime")
+        if shape in ("deficient", "bad prime"):
+            assert fell_back == 1
+
+
+def test_full_rank_instances_never_fall_back(F12, nullspace_calls):
+    """The 200 enriched Vandermonde instances of acceptance criterion 9 all
+    reach rank R modulo the first split prime."""
+    rng = random.Random(9009)
+    for _ in range(200):
+        cols, svec, nodes = rand_enriched_shape(F12, rng)
+        assert exact_rank(build_enriched(cols, svec, nodes).rows) == sum(svec) + len(svec)
+    assert nullspace_calls == []
+
+
+def test_matrix_input_errors(F12):
+    """Empty, ragged and field-free matrices raise ValueError, mixed fields
+    FieldMismatchError; rationals join the field of the first field element."""
+    one = F12.one()
+    for bad in ([], [[]], [[], []], [[one], [one, one]], [[1, 2], [3, 4]],
+                [[Fraction(1, 2)]]):
+        for fn in (exact_rank, nullspace):
+            with pytest.raises(ValueError):
+                fn(bad)
+    for fn in (exact_rank, nullspace):
+        with pytest.raises(FieldMismatchError):
+            fn([[one, make_field(8).one()]])
+        with pytest.raises(FieldMismatchError):
+            fn([[2, one], [make_field(8).one(), 1]])
+    assert exact_rank([[2, one], [4, 2 * one]]) == 1
+    assert exact_rank([[Fraction(1, 2), 0], [0, one]]) == 2
+    assert nullspace([[2, one]]) == ((F12.from_rational(Fraction(-1, 2)), one),)
