@@ -33,9 +33,12 @@ product of difference powers (x_t - x_i)^e at each point outside the support.
 The degree window gamma(n-1) <= m-1 is tested first on the images' residues
 modulo a split prime q good for A: distinct residues are at most as many as
 distinct images, so too many residues proves a rejection.  Only the
-survivors form exact images, and each new image set goes to the
-certificate, which implies the window and the cap of gamma elements per
-fiber.
+survivors form exact images.  Each new image set then meets the leaf test
+of the witness search mod q (_fibers_full_mod_p): the points grouped by
+image residue must fill the fibers of base mod q.  An exact pass implies
+this one, so its rejections are proofs too.  Only the candidates that pass
+build base exactly and go to the certificate, which implies the window and
+the cap of gamma elements per fiber and alone accepts a witness.
 """
 from __future__ import annotations
 
@@ -173,6 +176,21 @@ def _divide_out(q: list, a: int, p: int) -> list:
     return q
 
 
+def _fibers_full_mod_p(poly: list, fibers, p: int) -> bool:
+    """Whether, for every (w, points) in fibers, dividing poly - w by X - a as
+    often as it goes, for each a in points, leaves a constant: each fiber's
+    multiplicities sum to deg poly.  poly is ascending over F_p with a
+    nonzero lead, and the points are pairwise distinct mod p."""
+    for w, points in fibers:
+        q = poly[:]
+        q[0] = (q[0] - w) % p
+        for a in points:
+            q = _divide_out(q, a, p)
+        if len(q) > 1:
+            return False
+    return True
+
+
 def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
                    first_only: bool, residues) -> None:
     """Append every degree-gamma reduction from A onto B to out, in tree order.
@@ -260,14 +278,8 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
             fibers = [[] for _ in range(nb)]
             for i, j in enumerate(assign):
                 fibers[j].append(xr[i])
-            for j, fiber in enumerate(fibers):
-                q = poly[:]
-                q[0] = (q[0] - br[j]) % p
-                for a in fiber:
-                    q = _divide_out(q, a, p)
-                if len(q) > 1:
-                    return  # multiplicities sum to less than gamma
-            certify()
+            if _fibers_full_mod_p(poly, zip(br, fibers), p):
+                certify()
             return
         row = invd[depth]
         for j, v in enumerate(br):
@@ -436,6 +448,22 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     window only narrows as gamma grows, so an image set that fails it may
     enter seen_images: every later candidate with that image set fails the
     certificate too, and skipping it changes no output.
+
+    After that dedup, each new image set is tested mod q before base is
+    built: with base mod q = prod (X - x_i mod q)^e_i (monic) and the points
+    outside I grouped by residue r, dividing every point of its group out
+    of base - r must leave a constant for each r (_fibers_full_mod_p, the
+    leaf test of _search_degree).  This loses no witness.  At a good q every
+    image prod (x_t - x_i)^e is a q-unit, so every residue is nonzero.  If
+    the certificate passes, then for each image w and each x_t in its exact
+    fiber, (X - x_t)^e divides base - w over the q-integers, hence mod q;
+    the mod-q group of w mod q contains the exact fiber, so its
+    multiplicities sum to at least gamma, and to exactly gamma, since the
+    monic base - w has at most gamma roots with multiplicity.  Residues
+    that merge or multiplicities that rise mod q can only let a candidate
+    through to the certificate, never reject a witness.  The test sits after
+    the dedup, so seen_images and the output are as without it; only
+    certificates that would fail are skipped.
     """
     m = len(A)
     if m < 2:
@@ -476,14 +504,14 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                 # per support suffices for classes.
                 for mults in compositions(gamma, size):
                     roots = list(zip(I, mults))
-                    residues = set()
+                    residues = []  # image residues, in others order
                     for t in others:
                         row = rp[t]
                         r = 1
                         for i, e in roots:
                             r = r * row[i][e - 1] % q
-                        residues.add(r)
-                    if len(residues) + 1 > max_n:
+                        residues.append(r)
+                    if len(set(residues)) + 1 > max_n:
                         continue  # the exact images are at least as many
                     values = []
                     for t in others:
@@ -497,6 +525,16 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                     if images in seen_images:
                         continue
                     seen_images.add(images)
+                    base_q = [1]  # base mod q, ascending
+                    for i, e in roots:
+                        for _ in range(e):  # times X - x_i
+                            base_q = [(lo - xr[i] * hi) % q for lo, hi
+                                      in zip([0, *base_q], [*base_q, 0])]
+                    fibers_q = {}
+                    for t, r in zip(others, residues):
+                        fibers_q.setdefault(r, []).append(xr[t])
+                    if not _fibers_full_mod_p(base_q, fibers_q.items(), q):
+                        continue  # the exact certificate would fail too
                     base = Poly.from_roots(field, [(xs[i], e) for i, e in roots])
                     W = FiniteSubset(field, [zero, *images])
                     if _fiber_certificate(base, A, W) is None:

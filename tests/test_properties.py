@@ -1,15 +1,19 @@
-"""Property tests: field inverses and the affine invariance of the canonical
-invariant, over generated elements, sets and maps (Hypothesis, derandomized)."""
+"""Property tests: field inverses, the affine invariance of the canonical
+invariant, and the successor classes found modulo a split prime against the
+exact partition oracle, over generated elements, sets and maps (Hypothesis,
+derandomized)."""
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polyred import FiniteSubset, LinearMap, canonical_invariant, make_field
+from helpers import successor_oracle
+from polyred import FiniteSubset, LinearMap, canonical_invariant, make_field, successors
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+rationals_small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
 
 
 @st.composite
@@ -46,3 +50,35 @@ def sets_and_maps(draw):
 def test_invariant_is_affine_invariant(case):
     A, f = case
     assert canonical_invariant(A.map(f)) == canonical_invariant(A)
+
+
+@st.composite
+def rational_sets_at_bad_primes(draw):
+    """A random rational 4- or 5-set in Q(zeta_4), either free or symmetric
+    about a centre c (so (X - c)^2 reduces it).  With a special value s (q0,
+    the first split prime, or 1/q0) the set holds 0 and s, so q0 is bad for
+    it and successors filters it at the next prime."""
+    field = make_field(4)
+    q0 = field.split_prime(0).p
+    special = draw(st.sampled_from((None, q0, Fraction(1, q0))))
+    size = draw(st.sampled_from((4, 5)))
+    if draw(st.booleans()):
+        c = Fraction(special) / 2 if special else draw(rationals_small)
+        widths = [c] if special else []  # c -+ c are 0 and s
+        widths += draw(st.lists(st.builds(Fraction, st.integers(1, 4), st.integers(1, 2)),
+                                unique=True, min_size=size // 2 - len(widths),
+                                max_size=size // 2 - len(widths)))
+        vals = [c + sign * a for a in widths for sign in (1, -1)] + [c] * (size % 2)
+    else:
+        forced = [0, special] if special else []
+        vals = forced + draw(st.lists(rationals_small.filter(lambda v: v not in forced),
+                                      unique=True, min_size=size - len(forced),
+                                      max_size=size - len(forced)))
+    return FiniteSubset(field, vals)
+
+
+@PROPERTY
+@given(rational_sets_at_bad_primes())
+def test_successors_mod_q_match_oracle(A):
+    got = {sc.invariant.key() for sc in successors(A) if not sc.trivial}
+    assert got == successor_oracle(A)

@@ -1,7 +1,7 @@
 """Reducibility: degree windows, certificates, searches, successors."""
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -26,7 +26,7 @@ from polyred import (
     stabilizer,
     successors,
 )
-from polyred.reduction import _split_residues, compositions
+from polyred.reduction import _fibers_full_mod_p, _split_residues, compositions
 from helpers import (rand_irrational_map, rand_linear_map, rand_rational_set,
                      reduction_oracle_q, successor_oracle)
 
@@ -403,7 +403,9 @@ def test_successor_filters_never_reject_a_witness(F1, F4):
 
     For each support and composition the image set W = P(A) of the root
     product P is certified directly; whenever it passes, the degree window
-    gamma(|W|-1) <= m-1 holds and no fiber has more than gamma elements."""
+    gamma(|W|-1) <= m-1 holds, no fiber has more than gamma elements, and
+    the fiber test modulo the good split prime q of A accepts P mod q with
+    A grouped by the residues of its images."""
     rng = random.Random(620)
     samples = [_fs(F1, [0, 1, -1, 2, -2]),
                FiniteSubset(F4, [F4.zero()] + list(roots_of_unity(F4, 4)))]
@@ -411,6 +413,8 @@ def test_successor_filters_never_reject_a_witness(F1, F4):
     passed = 0
     for A in samples:
         m = len(A)
+        q = _split_residues(A, A)[0]
+        sp = next(s for s in map(A.field.split_prime, count()) if s.p == q)
         for gamma in range(2, m):
             for p in range(1, min(gamma, m - 1) + 1):
                 for I in combinations(range(m), p):
@@ -424,7 +428,60 @@ def test_successor_filters_never_reject_a_witness(F1, F4):
                         passed += 1
                         assert gamma * (len(W) - 1) <= m - 1
                         assert max(values.count(w) for w in W) <= gamma
+                        fibers = {}
+                        for a, v in zip(A, values):
+                            fibers.setdefault(sp.residue(v), []).append(sp.residue(a))
+                        P_q = [sp.residue(c) for c in P.coeffs]
+                        assert _fibers_full_mod_p(P_q, fibers.items(), q)
     assert passed > 0
+
+
+def _certificate_outcomes(monkeypatch, A):
+    """successors(A) with every _fiber_certificate call recorded as passed or
+    failed: (nontrivial class keys, outcomes)."""
+    import polyred.reduction as red
+    certify = red._fiber_certificate
+    outcomes = []
+
+    def recording(P, A_, B):
+        fibers = certify(P, A_, B)
+        outcomes.append(fibers is not None)
+        return fibers
+
+    with monkeypatch.context() as mp:
+        mp.setattr(red, "_fiber_certificate", recording)
+        keys = {sc.invariant.key() for sc in successors(A) if not sc.trivial}
+    return keys, outcomes
+
+
+def test_successor_collision_caught_only_by_the_certificate(F4, F12, monkeypatch):
+    """With q0 the first split prime, q0 is good for A = {0, 1, 2, q0 - 1}.
+    X(X - 1) sends 2 and q0 - 1 to the distinct images 2 and (q0-1)(q0-2),
+    which agree mod q0: the candidate passes the window and the fiber test
+    mod q0, and only the exact certificate rejects it."""
+    for F in (F4, F12):
+        sp = F.split_prime(0)
+        q0 = sp.p
+        A = _fs(F, [0, 1, 2, q0 - 1])
+        assert _split_residues(A, A)[0] == q0
+        P = Poly(F, [0, -1, 1])
+        images = [P(a) for a in A]
+        assert images[2:] == [F.from_rational(2), F.from_rational((q0 - 1) * (q0 - 2))]
+        assert sp.residue(images[2]) == sp.residue(images[3]) == 2
+        assert _fibers_full_mod_p([0, q0 - 1, 1], [(2, [2, q0 - 1])], q0)
+        assert not check_exact_preimage(P, A, FiniteSubset(F, set(images)))
+        keys, outcomes = _certificate_outcomes(monkeypatch, A)
+        assert keys == successor_oracle(A) == set()
+        assert outcomes and not any(outcomes)
+
+
+def test_successor_certificates_all_pass(F8, F12, monkeypatch):
+    """The window and the fiber test mod q reject every failing candidate on
+    these sets, so each certificate successors runs passes (17, 16 and 20
+    calls, some failing, without the fiber test)."""
+    for A in (_fs(F12, range(-3, 4)), _fs(F8, range(-3, 5)), roots_of_unity(F8, 8)):
+        keys, outcomes = _certificate_outcomes(monkeypatch, A)
+        assert keys and outcomes and all(outcomes)
 
 
 # Class keys the exhaustive enumeration (Poly.from_roots, Horner and the
