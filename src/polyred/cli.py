@@ -41,6 +41,10 @@ from .vandermonde import build_enriched, exact_rank
 # per doubling of N, and one square root there (predecessor) takes 12 s.
 MAX_ORDER = 512
 
+# Largest M that `bounds M N` accepts.  The window holds about M/(N(N-1))
+# degrees, M/2 at N = 2: 50,000 here, while M = 10^12 would exhaust memory.
+MAX_BOUNDS_M = 100_000
+
 
 class SetFileError(ValueError):
     """Malformed set file or argument, or reference to a missing label."""
@@ -182,6 +186,8 @@ def _cmd_gen_exceptional(args):
 
 
 def _cmd_bounds(args):
+    if args.m > MAX_BOUNDS_M:
+        raise SetFileError(f"m = {args.m} exceeds the limit {MAX_BOUNDS_M}")
     w = degree_bounds(args.m, args.n)
     return ({"m": w.m, "n": w.n, "gammas": list(w.gammas)},
             f"admissible degrees: {list(w.gammas) or 'none'}")
@@ -204,8 +210,8 @@ def _cmd_successors(args, A):
 
 
 def _cmd_predecessor(args, B):
-    A = predecessor_2n_minus_1(B)
     Bn, _ = normalize_to_contain_0_1(B)
+    A = predecessor_2n_minus_1(Bn)  # the identity normalization on Bn
     payload = {"elements": A.encode(), "normalized_target": Bn.encode()}
     return payload, f"predecessor has {len(A)} elements"
 

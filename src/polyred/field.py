@@ -638,14 +638,17 @@ class FieldElement:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
+        if e == 0:
+            return self.field.one()
+        # bit_length(e) + popcount(e) - 2 products
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def multiplicative_order(self, limit: int | None = None) -> int | None:
         """Least k in 1..limit with self^k = 1, else None.

@@ -30,21 +30,23 @@ stabilizer and chi read the linear maps of A onto B off find_reductions.
 successors enumerates the root data of a prospective witness (a support in A
 with multiplicities) instead of target sets.  A candidate's image set is the
 product of difference powers (x_t - x_i)^e at each point outside the support.
-The degree window gamma(n-1) <= m-1 is tested first on the images' residues
-modulo a split prime q good for A: distinct residues are at most as many as
-distinct images, so too many residues proves a rejection.  Only the
-survivors form exact images.  Each new image set then meets the leaf test
-of the witness search mod q (_fibers_full_mod_p): the points grouped by
-image residue must fill the fibers of base mod q.  An exact pass implies
-this one, so its rejections are proofs too.  Only the candidates that pass
-build base exactly and go to the certificate, which implies the window and
-the cap of gamma elements per fiber and alone accepts a witness.
+Two tests run first, modulo a split prime q good for A: the degree window
+gamma(n-1) <= m-1 on the images' residues (distinct residues are at most as
+many as distinct images), and the leaf test of the witness search
+(_fibers_full_mod_p): the points grouped by image residue must fill the
+fibers of base mod q.  A witness passes both, so their rejections are
+proofs.  Only the survivors form exact images, and each new image set gets
+one certificate, which alone accepts a witness.  The normalized witness
+c*base keeps base's fibers with targets scaled by c, since c*(base - w) has
+the roots and multiplicities of base - w.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations
+from operator import mul
 
 from .classes import ClassInvariant, FiniteSubset, canonical_invariant
 from .field import FieldElement, _check_same_field
@@ -424,46 +426,44 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     summing to gamma, normalized so the least element j outside I maps to 1
     (other normalizations rescale the image linearly and cannot add classes).
     The image of each x_t outside I is the product of the difference powers
-    (x_t - x_i)^e_i, so a candidate costs m - size products of size factors
-    and no polynomial.  The degree window gamma(n-1) <= m-1 on the image set
-    W = {0} U images (the excess multiplicities of the n fibers are roots of
-    P', so gamma*n - m <= gamma-1) rejects most candidates; for gamma >= 2
-    it implies n < m.  Each new image set through gamma = m-1 (or
-    max_degree) is tested with the exact preimage certificate and
-    deduplicated by canonical invariant; [A] and the singleton class are
-    appended as trivial entries.
+    (x_t - x_i)^e_i, so a candidate needs no polynomial to be tested.  Each
+    candidate through gamma = m-1 (or max_degree) meets, in this order: the
+    degree window and the fiber test modulo a split prime q, its exact
+    images, the image-set dedup, the exact preimage certificate and the
+    dedup by canonical invariant; [A] and the singleton class are appended
+    as trivial entries.
 
-    The window is tested only modulo the first split prime q that is good
-    for A (_split_residues): every denominator is prime to q and A's
-    residues are pairwise distinct.  The residue map zeta -> w is a ring
-    homomorphism on the elements whose denominators are prime to q, so an
-    image's residue is the product of its factors' residues, and it is a
-    function of the exact value: there are at most as many distinct residues
-    as distinct exact images.  More than max_n - 1 residues therefore proves
-    that the window rejects the candidate, and no bad-prime event arises.
+    Both tests run modulo the first split prime q that is good for A
+    (_split_residues): every denominator is prime to q and A's residues are
+    pairwise distinct.  The residue map zeta -> w is a ring homomorphism on
+    the elements whose denominators are prime to q, so an image's residue
+    is the product of its factors' residues, a nonzero function of the
+    exact value.
 
-    The certificate decides the rest, so two exact checks are not run.  A
-    fiber cap of gamma elements cannot fire: base - w is monic of degree
-    gamma.  An exact window test is implied by the certificate, and the
-    window only narrows as gamma grows, so an image set that fails it may
-    enter seen_images: every later candidate with that image set fails the
-    certificate too, and skipping it changes no output.
+    The window gamma(n-1) <= m-1 on W = {0} U images (the excess
+    multiplicities of the n fibers are roots of P', so gamma*n - m <=
+    gamma-1; for gamma >= 2 it implies n < m) is tested on the residues:
+    there are at most as many distinct residues as distinct exact images,
+    so more than max_n - 1 residues proves a rejection.
 
-    After that dedup, each new image set is tested mod q before base is
-    built: with base mod q = prod (X - x_i mod q)^e_i (monic) and the points
-    outside I grouped by residue r, dividing every point of its group out
-    of base - r must leave a constant for each r (_fibers_full_mod_p, the
-    leaf test of _search_degree).  This loses no witness.  At a good q every
-    image prod (x_t - x_i)^e is a q-unit, so every residue is nonzero.  If
-    the certificate passes, then for each image w and each x_t in its exact
+    The fiber test: with base mod q = prod (X - x_i mod q)^e_i (monic) and
+    the points outside I grouped by residue r, dividing every point of its
+    group out of base - r must leave a constant for each r
+    (_fibers_full_mod_p, the leaf test of _search_degree).  If the
+    certificate passes, then for each image w and each x_t in its exact
     fiber, (X - x_t)^e divides base - w over the q-integers, hence mod q;
     the mod-q group of w mod q contains the exact fiber, so its
     multiplicities sum to at least gamma, and to exactly gamma, since the
     monic base - w has at most gamma roots with multiplicity.  Residues
     that merge or multiplicities that rise mod q can only let a candidate
-    through to the certificate, never reject a witness.  The test sits after
-    the dedup, so seen_images and the output are as without it; only
-    certificates that would fail are skipped.
+    through to the certificate, never reject a witness.
+
+    The certificate decides the rest: the exact window and a fiber cap of
+    gamma elements follow from it, so neither is run.  seen_images holds
+    only certified image sets; the class key is a function of W, so a
+    repeat adds nothing.  The witness c*base with c = 1/base(x_j) maps A
+    onto c*W with base's fibers, targets scaled by c: c*(base - w) has the
+    roots and multiplicities of base - w, so no second certificate runs.
     """
     m = len(A)
     if m < 2:
@@ -479,21 +479,12 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     out[sigma1.key()] = SuccessorClass(sigma1, None, True)
     top = m - 1 if max_degree is None else min(m - 1, max_degree)
     zero = field.zero()
-    # powers[t][i][e - 1] = (x_t - x_i)^e for t != i and 1 <= e <= top
-    powers = [[[] for _ in range(m)] for _ in range(m)]
-    for t, i in permutations(range(m), 2):
-        d = xs[t] - xs[i]
-        pw = powers[t][i]
-        pw.append(d)
-        while len(pw) < top:
-            pw.append(pw[-1] * d)
     q, xr, _ = _split_residues(A, A)
     # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
     rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, top + 1)]
            for i in range(m)] for t in range(m)]
     seen_images = set()
     for gamma in range(2, top + 1):
-        # The degree window gamma(n-1) <= m-1; for gamma >= 2 it implies n < m.
         max_n = 1 + (m - 1) // gamma
         for size in range(1, min(gamma, m - 1) + 1):
             for I in combinations(range(m), size):
@@ -513,18 +504,6 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                         residues.append(r)
                     if len(set(residues)) + 1 > max_n:
                         continue  # the exact images are at least as many
-                    values = []
-                    for t in others:
-                        row = powers[t]
-                        i, e = roots[0]
-                        v = row[i][e - 1]
-                        for i, e in roots[1:]:
-                            v = v * row[i][e - 1]
-                        values.append(v)
-                    images = frozenset(values)
-                    if images in seen_images:
-                        continue
-                    seen_images.add(images)
                     base_q = [1]  # base mod q, ascending
                     for i, e in roots:
                         for _ in range(e):  # times X - x_i
@@ -535,23 +514,27 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                         fibers_q.setdefault(r, []).append(xr[t])
                     if not _fibers_full_mod_p(base_q, fibers_q.items(), q):
                         continue  # the exact certificate would fail too
+                    values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
+                              for t in others]
+                    images = frozenset(values)
+                    if images in seen_images:
+                        continue
                     base = Poly.from_roots(field, [(xs[i], e) for i, e in roots])
                     W = FiniteSubset(field, [zero, *images])
-                    if _fiber_certificate(base, A, W) is None:
+                    fibers = _fiber_certificate(base, A, W)
+                    if fibers is None:
                         continue
+                    seen_images.add(images)
                     inv = canonical_invariant(W)
                     key = inv.key()
                     if key in out:
                         continue
                     c = values[0].inverse()
-                    P = base * c
-                    B = W.map(lambda x: c * x)
-                    fibers = _fiber_certificate(P, A, B)
-                    if fibers is None:
-                        raise ArithmeticError(
-                            "certificate lost under witness normalization")
+                    scaled = sorted(((c * w, pre) for w, pre in fibers),
+                                    key=lambda f: f[0])
+                    B = FiniteSubset(field, [b for b, _ in scaled])
                     out[key] = SuccessorClass(
-                        inv, Reduction(P, A, B, gamma, fibers), False)
+                        inv, Reduction(base * c, A, B, gamma, tuple(scaled)), False)
     return sorted(out.values(), key=lambda sc: (sc.invariant.n, sc.invariant.key()))
 
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from polyred import FiniteSubset, make_field, roots_of_unity
-from polyred.cli import (COMMANDS, MAX_ORDER, SetFile, SetFileError, build_parser,
-                         build_poset, emit_set_file, main, parse_set_text)
+from polyred.cli import (COMMANDS, MAX_BOUNDS_M, MAX_ORDER, SetFile, SetFileError,
+                         build_parser, build_poset, emit_set_file, main,
+                         parse_set_text)
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,6 +200,19 @@ def test_bounds_payload(capsys):
     assert code == 0 and json.loads(out)["gammas"] == []
 
 
+def test_bounds_limit(capsys):
+    """M above MAX_BOUNDS_M is refused before the window is built; at the
+    limit with N = 2 the window holds M/2 degrees."""
+    m = MAX_BOUNDS_M
+    code, out, _ = _run(capsys, ["bounds", str(m), "2"])
+    assert code == 0 and json.loads(out)["gammas"] == list(range(m // 2, m))
+    code, out, err = _run(capsys, ["bounds", str(m + 1), "2"])
+    assert code == 1 and json.loads(out) == {"error": {
+        "type": "SetFileError",
+        "message": f"m = {m + 1} exceeds the limit {m}"}}
+    assert err.startswith("error: ")
+
+
 def test_reduce_payload(tmp_path, capsys):
     f = _setfile(tmp_path, 12, {"A": [0, 1, -1, 2, -2], "B": [0, 1, 4]})
     code, out, _ = _run(capsys, ["reduce", "-f", f, "A", "B"])
@@ -266,6 +280,11 @@ def test_predecessor_payload_and_error(tmp_path, capsys):
     assert code == 0
     assert [e[0] for e in obj["elements"]] == ["-2/1", "-1/1", "0/1", "1/1", "2/1"]
     assert [e[0] for e in obj["normalized_target"]] == ["0/1", "1/1", "4/1"]
+    # {1, 2, 5} normalizes to {0, 1, 4}: the same payload
+    g = _setfile(tmp_path, 4, {"D": [1, 2, 5], "S": [3]}, name="d.json")
+    assert _run(capsys, ["predecessor", "-f", g, "D"])[:2] == (0, out)
+    code, out, _ = _run(capsys, ["predecessor", "-f", g, "S"])
+    assert code == 1 and "at least 2 elements" in json.loads(out)["error"]["message"]
     code, out, err = _run(capsys, ["predecessor", "-f", f, "C"])
     assert code == 1
     obj = json.loads(out)

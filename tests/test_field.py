@@ -13,7 +13,7 @@ import sympy as sp
 
 import polyred
 from polyred import FieldMismatchError, make_field
-from polyred.field import _unit_chain
+from polyred.field import FieldElement, _unit_chain
 from helpers import inverse_oracle
 
 
@@ -37,11 +37,15 @@ def test_make_field_is_cached_and_validated():
             make_field(bad)
 
 
-def test_zeta_powers_and_orders(F12):
+def test_zeta_powers_and_orders(F12, monkeypatch):
     z = F12.zeta(1)
     assert (z ** 12).is_one()
     for k in range(1, 12):
         assert not (z ** k).is_one()
+    assert (z ** 0).is_one()
+    assert z ** -1 == F12.zeta(11) and z ** -5 == F12.zeta(7)
+    x = z + 2
+    assert x ** -3 == (x * x * x).inverse()
     assert z.multiplicative_order() == 12
     assert F12.zeta(3).multiplicative_order() == 4
     assert F12.zeta(14) == F12.zeta(2)
@@ -53,6 +57,21 @@ def test_zeta_powers_and_orders(F12):
     for c in reversed(F12.modulus):
         acc = acc * z + F12.from_rational(c)
     assert acc.is_zero()
+    # x ** e makes bit_length(e) + popcount(e) - 2 products
+    powers = {1: x}
+    for e in range(2, 9):
+        powers[e] = powers[e - 1] * x
+    calls = [0]
+    mul = FieldElement.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    for e, products in [(1, 0), (2, 1), (3, 2), (8, 3)]:
+        calls[0] = 0
+        assert x ** e == powers[e] and calls[0] == products, e
 
 
 def test_rational_arithmetic_matches_fractions(F12):

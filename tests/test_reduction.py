@@ -26,7 +26,8 @@ from polyred import (
     stabilizer,
     successors,
 )
-from polyred.reduction import _fibers_full_mod_p, _split_residues, compositions
+from polyred.reduction import (_fiber_certificate, _fibers_full_mod_p, _split_residues,
+                              compositions)
 from helpers import (rand_irrational_map, rand_linear_map, rand_rational_set,
                      reduction_oracle_q, successor_oracle)
 
@@ -339,9 +340,11 @@ def test_successors_closed_under_composition(F8, F12):
 
 
 def test_successors_exact_product_count(F12, monkeypatch):
-    """The degree window runs on residues, so only its few survivors form
-    exact images: successors on {0, +-1, +-2, +-3} makes under 3000 exact
-    products (about 14,800 when every candidate's image is built exactly)."""
+    """Both tests run on residues, so only their few survivors form exact
+    images: successors on {0, +-1, +-2, +-3} makes under 300 exact products
+    (224; 572 with an eager table of difference powers and a second
+    certificate per class, about 14,800 when every candidate's image is
+    built exactly).  int * element goes through __rmul__, counted too."""
     from polyred.field import FieldElement
     A = _fs(F12, range(-3, 4))
     calls = [0]
@@ -352,8 +355,9 @@ def test_successors_exact_product_count(F12, monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(FieldElement, "__mul__", counting)
+    monkeypatch.setattr(FieldElement, "__rmul__", counting)
     successors(A)
-    assert 0 < calls[0] < 3000
+    assert 0 < calls[0] < 300
 
 
 def test_successors_entries_verified(F12):
@@ -368,6 +372,7 @@ def test_successors_entries_verified(F12):
         r = sc.witness
         assert r.source == A
         assert check_exact_preimage(r.poly, r.source, r.target)
+        assert r.fibers == _fiber_certificate(r.poly, r.source, r.target)
         assert canonical_invariant(r.target) == sc.invariant
     # the only nontrivial class is [{0,1,4}]: degrees 3 and 4 onto 2-sets fail
     n_vals = sorted(sc.invariant.n for sc in res)
@@ -503,6 +508,7 @@ def test_successors_at_m8(F8):
                 r = sc.witness
                 assert r.source == A
                 assert check_exact_preimage(r.poly, r.source, r.target)
+                assert r.fibers == _fiber_certificate(r.poly, r.source, r.target)
     for d in (4, 2):  # mu_8 -> mu_d under X^(8/d)
         assert canonical_invariant(roots_of_unity(F8, d)).key() in got
 
