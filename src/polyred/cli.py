@@ -11,16 +11,13 @@ Subcommands are registered from the COMMANDS table.  A file command takes
 resolves each label, and hands the sets to the handler (a file command that
 names no label gets every set of the file).  Each handler returns
 (payload, summary).  The library logic lives in the other modules; the
-reducibility diagram is polyred.poset.build_poset.
-
-main builds one subparser per call, the one argv[0] names, since building
-all fourteen cost more than many commands do.  Help, a missing or unknown
-command and unrecognized arguments are handled by the full parser, so their
-text and exit code are those of a parser holding every subparser.
+reducibility diagram is polyred.poset.build_poset.  The parser is built
+once per process and reused by every later call of main.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -44,6 +41,11 @@ MAX_ORDER = 512
 # Largest M that `bounds M N` accepts.  The window holds about M/(N(N-1))
 # degrees, M/2 at N = 2: 50,000 here, while M = 10^12 would exhaust memory.
 MAX_BOUNDS_M = 100_000
+
+# Largest column count K (>= row count) that `vdm-rank` accepts.  On a 2-core
+# Xeon, --s-vec [K-1] at K = 64 takes 0.1 s and prints 0.5 MB at N = 4 (1.1 s,
+# 8 MB at N = 64); doubling K costs 4-5x the time and 7x the output.
+MAX_VDM_COLUMNS = 64
 
 
 class SetFileError(ValueError):
@@ -223,6 +225,9 @@ def _cmd_sigma3(args, A):
 
 
 def _cmd_vdm_rank(args):
+    if args.gamma_plus_1 > MAX_VDM_COLUMNS:
+        raise SetFileError(f"--gamma-plus-1 = {args.gamma_plus_1} exceeds the limit "
+                           f"{MAX_VDM_COLUMNS}")
     field = _field(args.field)
     svec = _json_arg(args.s_vec, "--s-vec")
     if not isinstance(svec, list) or not all(
@@ -308,14 +313,14 @@ COMMANDS = (
 )
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser.  When `command` names an entry of COMMANDS, only
-    that entry's subparser is added; otherwise all of them are."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, one subparser per entry of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="polyred",
         description="Exact polynomial-reducibility workbench over Q(zeta_N)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in [c for c in COMMANDS if c.name == command] or COMMANDS:
+    for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)
         if cmd.labels is not None:
             p.add_argument("-f", "--file", required=True,
@@ -338,10 +343,7 @@ def _run(cmd: Command, args):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
-    if extra:  # the full parser reports them, with its usage line, and exits 2
-        build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, summary = _run(args.spec, args)
     except (ValueError, ArithmeticError, OSError) as e:

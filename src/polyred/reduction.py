@@ -35,10 +35,10 @@ gamma(n-1) <= m-1 on the images' residues (distinct residues are at most as
 many as distinct images), and the leaf test of the witness search
 (_fibers_full_mod_p): the points grouped by image residue must fill the
 fibers of base mod q.  A witness passes both, so their rejections are
-proofs.  Only the survivors form exact images, and each new image set gets
-one certificate, which alone accepts a witness.  The normalized witness
-c*base keeps base's fibers with targets scaled by c, since c*(base - w) has
-the roots and multiplicities of base - w.
+proofs.  Only the survivors form exact images, and only an image set of a
+class not yet found gets a certificate, which alone accepts a witness.  The
+normalized witness c*base keeps base's fibers with targets scaled by c,
+since c*(base - w) has the roots and multiplicities of base - w.
 """
 from __future__ import annotations
 
@@ -429,9 +429,9 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     (x_t - x_i)^e_i, so a candidate needs no polynomial to be tested.  Each
     candidate through gamma = m-1 (or max_degree) meets, in this order: the
     degree window and the fiber test modulo a split prime q, its exact
-    images, the image-set dedup, the exact preimage certificate and the
-    dedup by canonical invariant; [A] and the singleton class are appended
-    as trivial entries.
+    images, the dedup by canonical invariant of W = {0} U images, and the
+    exact preimage certificate; [A] and the singleton class are appended as
+    trivial entries.
 
     Both tests run modulo the first split prime q that is good for A
     (_split_residues): every denominator is prime to q and A's residues are
@@ -459,11 +459,12 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     through to the certificate, never reject a witness.
 
     The certificate decides the rest: the exact window and a fiber cap of
-    gamma elements follow from it, so neither is run.  seen_images holds
-    only certified image sets; the class key is a function of W, so a
-    repeat adds nothing.  The witness c*base with c = 1/base(x_j) maps A
-    onto c*W with base's fibers, targets scaled by c: c*(base - w) has the
-    roots and multiplicities of base - w, so no second certificate runs.
+    gamma elements follow from it, so neither is run.  The class key is a
+    function of W alone, so a candidate whose key is already found cannot
+    change the result and skips the certificate; a new key enters only
+    once certified.  The witness c*base with c = 1/base(x_j) maps A onto
+    c*W with base's fibers, targets scaled by c: c*(base - w) has the roots
+    and multiplicities of base - w, so no second certificate runs.
     """
     m = len(A)
     if m < 2:
@@ -483,7 +484,6 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
     rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, top + 1)]
            for i in range(m)] for t in range(m)]
-    seen_images = set()
     for gamma in range(2, top + 1):
         max_n = 1 + (m - 1) // gamma
         for size in range(1, min(gamma, m - 1) + 1):
@@ -516,18 +516,14 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                         continue  # the exact certificate would fail too
                     values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
                               for t in others]
-                    images = frozenset(values)
-                    if images in seen_images:
-                        continue
-                    base = Poly.from_roots(field, [(xs[i], e) for i, e in roots])
-                    W = FiniteSubset(field, [zero, *images])
-                    fibers = _fiber_certificate(base, A, W)
-                    if fibers is None:
-                        continue
-                    seen_images.add(images)
+                    W = FiniteSubset(field, {zero, *values})
                     inv = canonical_invariant(W)
                     key = inv.key()
                     if key in out:
+                        continue
+                    base = Poly.from_roots(field, [(xs[i], e) for i, e in roots])
+                    fibers = _fiber_certificate(base, A, W)
+                    if fibers is None:
                         continue
                     c = values[0].inverse()
                     scaled = sorted(((c * w, pre) for w, pre in fibers),

@@ -1,16 +1,18 @@
 """Command-line interface: schema, payloads, exit codes, poset output."""
-import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import polyred
 from polyred import FiniteSubset, make_field, roots_of_unity
-from polyred.cli import (COMMANDS, MAX_BOUNDS_M, MAX_ORDER, SetFile, SetFileError,
-                         build_parser, build_poset, emit_set_file, main,
-                         parse_set_text)
+from polyred.cli import (MAX_BOUNDS_M, MAX_ORDER, MAX_VDM_COLUMNS, SetFile, SetFileError,
+                         build_parser, build_poset, emit_set_file, main, parse_set_text)
 
 DATA = Path(__file__).parent / "data"
 
@@ -210,6 +212,23 @@ def test_bounds_limit(capsys):
     assert code == 1 and json.loads(out) == {"error": {
         "type": "SetFileError",
         "message": f"m = {m + 1} exceeds the limit {m}"}}
+    assert err.startswith("error: ")
+
+
+def test_vdm_rank_column_limit(capsys):
+    """A column count above MAX_VDM_COLUMNS is refused before any matrix is
+    built; at the limit a one-row matrix has rank 1."""
+    k = MAX_VDM_COLUMNS
+
+    def argv(cols):
+        return ["vdm-rank", "--field", "4", "--gamma-plus-1", str(cols),
+                "--s-vec", "[0]", "--a-vec", '[["2/1", "0/1"]]']
+    code, out, _ = _run(capsys, argv(k))
+    assert code == 0 and json.loads(out)["rank"] == 1
+    code, out, err = _run(capsys, argv(k + 1))
+    assert code == 1 and json.loads(out) == {"error": {
+        "type": "SetFileError",
+        "message": f"--gamma-plus-1 = {k + 1} exceeds the limit {k}"}}
     assert err.startswith("error: ")
 
 
@@ -446,12 +465,41 @@ def test_usage_text_pinned(case, capsys, monkeypatch):
     assert (exc.value.code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
-def test_build_parser_adds_only_the_named_command():
-    def choices(parser):
-        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return list(sub.choices)
-    every = [c.name for c in COMMANDS]
-    assert choices(build_parser("invariant")) == ["invariant"]
-    assert choices(build_parser()) == every
-    assert choices(build_parser("inv")) == every
-    assert choices(build_parser("--help")) == every
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    """main reuses one parser for every call, and after a successful command
+    in the same process each help and usage case still matches the golden
+    bytes."""
+    build_parser.cache_clear()
+    assert build_parser() is build_parser()
+    assert _run(capsys, ["bounds", "10", "3"])[0] == 0
+    assert build_parser.cache_info().misses == 1
+    monkeypatch.setenv("COLUMNS", "80")
+    for case in USAGE_GOLDEN:
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    assert build_parser.cache_info().misses == 1
+
+
+def _console(argv):
+    """polyred run as its console script does, in a fresh interpreter."""
+    src = str(Path(polyred.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    entry = "import sys; from polyred.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", entry, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_console_entry_point(capsys):
+    """One call per process: help and a usage error give the golden bytes, and
+    a command prints what the in-process call prints."""
+    golden = {tuple(c["argv"]): (c["exit"], c["stdout"], c["stderr"])
+              for c in USAGE_GOLDEN}
+    for argv in (["--help"], ["invariant"]):
+        done = _console(argv)
+        assert (done.returncode, done.stdout, done.stderr) == golden[tuple(argv)]
+    assert golden[("--help",)][0] == 0 and golden[("invariant",)][0] == 2
+    done = _console(["bounds", "10", "3"])
+    assert (done.returncode, done.stdout, done.stderr) == _run(capsys, ["bounds", "10", "3"])

@@ -1,6 +1,7 @@
 """Property tests: field inverses, the affine invariance of the canonical
-invariant, and the successor classes found modulo a split prime against the
-exact partition oracle, over generated elements, sets and maps (Hypothesis,
+invariant, the successor classes found modulo a split prime against the
+exact partition oracle, and the witness search against the successor
+classes, over generated elements, sets and maps (Hypothesis,
 derandomized)."""
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import successor_oracle
-from polyred import FiniteSubset, LinearMap, canonical_invariant, make_field, successors
+from polyred import (FiniteSubset, LinearMap, canonical_invariant, make_field, reduces,
+                     successors)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -82,3 +84,21 @@ def rational_sets_at_bad_primes(draw):
 def test_successors_mod_q_match_oracle(A):
     got = {sc.invariant.key() for sc in successors(A) if not sc.trivial}
     assert got == successor_oracle(A)
+
+
+@PROPERTY
+@given(rational_sets_at_bad_primes(), st.data())
+def test_reduces_iff_class_among_successors(A, data):
+    """Two routes, one relation: find_reductions walks target assignments,
+    successors walks root data, and A <= B holds exactly when [B] is among
+    the classes of successors(A).  B is a successor witness's target or a
+    random rational 2- or 3-set."""
+    found = successors(A)
+    targets = [sc.witness.target for sc in found if not sc.trivial]
+    if targets and data.draw(st.booleans()):
+        B = data.draw(st.sampled_from(targets))
+    else:
+        B = FiniteSubset(A.field, data.draw(st.lists(rationals_small, unique=True,
+                                                      min_size=2, max_size=3)))
+    keys = {sc.invariant.key() for sc in found}
+    assert reduces(A, B) == (canonical_invariant(B).key() in keys)

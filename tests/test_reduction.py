@@ -342,9 +342,10 @@ def test_successors_closed_under_composition(F8, F12):
 def test_successors_exact_product_count(F12, monkeypatch):
     """Both tests run on residues, so only their few survivors form exact
     images: successors on {0, +-1, +-2, +-3} makes under 300 exact products
-    (224; 572 with an eager table of difference powers and a second
-    certificate per class, about 14,800 when every candidate's image is
-    built exactly).  int * element goes through __rmul__, counted too."""
+    (89; 224 with a certificate per new image set before the class dedup,
+    572 with an eager table of difference powers and a second certificate
+    per class as well, about 14,800 when every candidate's image is built
+    exactly).  int * element goes through __rmul__, counted too."""
     from polyred.field import FieldElement
     A = _fs(F12, range(-3, 4))
     calls = [0]
@@ -487,6 +488,15 @@ def test_successor_certificates_all_pass(F8, F12, monkeypatch):
     for A in (_fs(F12, range(-3, 4)), _fs(F8, range(-3, 5)), roots_of_unity(F8, 8)):
         keys, outcomes = _certificate_outcomes(monkeypatch, A)
         assert keys and outcomes and all(outcomes)
+
+
+def test_successors_certify_each_class_once(F12, monkeypatch):
+    """Candidates are deduplicated by class key before the certificate, so on
+    {0, +-1, +-2, +-3} the one certificate run passes and adds the one
+    nontrivial class (four passing calls when the dedup ran after the
+    certificate)."""
+    keys, outcomes = _certificate_outcomes(monkeypatch, _fs(F12, range(-3, 4)))
+    assert all(outcomes) and len(outcomes) == len(keys)
 
 
 # Class keys the exhaustive enumeration (Poly.from_roots, Horner and the
