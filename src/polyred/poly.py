@@ -5,14 +5,12 @@ polynomial has an empty coefficient tuple.  Its degree is the sentinel
 NEG_INF (float("-inf")), never -1, so degree comparisons against integer
 bounds cannot silently pass.
 
-Root multiplicities follow the derivative criterion (valid in characteristic
-0): the multiplicity of a in P is the least k with the k-th derivative
-nonzero at a.  The fiber certificate in reduction.py applies it; no
-factorization or root finding happens anywhere in this package.
-
-_newton_to_poly expands the Newton form that the witness search in
-reduction.py builds by divided differences, one point at a time; it is the
-package's only interpolation route.
+Every witness the package reports is built by Poly.from_roots, as
+b + c*prod(X - a)^e.  Root multiplicities are counted by synthetic division
+(the fiber certificate in reduction.py): dividing P by X - a leaves P(a),
+and each further division with remainder 0 adds one to the multiplicity of
+a in P - P(a).  No factorization or root finding happens anywhere in this
+package.
 """
 from __future__ import annotations
 
@@ -45,13 +43,19 @@ class Poly:
 
     @classmethod
     def from_roots(cls, field: CyclotomicField, root_multiplicities) -> "Poly":
-        """Monic product of (X - a)^e over the given (a, e) pairs."""
-        out = cls(field, [1])
+        """Monic product of (X - a)^e over the given (a, e) pairs; each e is an
+        int >= 0.  The coefficients are multiplied by each X - a in place."""
+        out = [field.one()]  # ascending
         for a, e in root_multiplicities:
-            lin = cls(field, [-_coerce(field, a), 1])
+            if type(e) is not int or e < 0:
+                raise ValueError(f"root multiplicity must be an int >= 0, got {e!r}")
+            neg = -_coerce(field, a)
             for _ in range(e):
-                out = out * lin
-        return out
+                out.append(out[-1])
+                for i in range(len(out) - 2, 0, -1):
+                    out[i] = out[i - 1] + neg * out[i]
+                out[0] = neg * out[0]
+        return cls(field, out)
 
     @property
     def degree(self):
@@ -190,17 +194,4 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap(({self.slope})*X + ({self.intercept}))"
-
-
-def _newton_to_poly(field, coeffs, xs) -> Poly:
-    """Expand the Newton form sum_t coeffs[t] * prod_{i<t} (X - xs[i])."""
-    acc = [coeffs[-1]]
-    for t in range(len(coeffs) - 2, -1, -1):
-        xt = xs[t]
-        nxt = [field.zero()] + acc
-        for i, c in enumerate(acc):
-            nxt[i] = nxt[i] - xt * c
-        nxt[0] = nxt[0] + coeffs[t]
-        acc = nxt
-    return Poly(field, acc)
 

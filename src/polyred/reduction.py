@@ -4,41 +4,23 @@ A polynomial P witnesses A <= B when A = P^{-1}(B) exactly.  The certificate
 used everywhere is factorization-free: P(A) = B as sets and, for every target
 b, the root multiplicities of P - b at its preimages in A sum to deg P.  The
 multiplicity sum equals the degree iff P - b has no roots outside A, so the
-certificate is equivalent to exact preimage.
+certificate is equivalent to exact preimage.  _fiber_certificate counts the
+multiplicities by synthetic division, and every witness it is given is built
+as b + c*prod(X - a)^e by Poly.from_roots.
 
 find_reductions enumerates assignments of A's elements to B's elements fiber
-by fiber.  It walks the first gamma+1 elements as an incremental Newton
-interpolation and prunes prefixes whose fiber would exceed gamma elements;
-the remaining values are forced.  The walk runs modulo a split prime
-p = 1 (mod N), zeta -> w (field.split_prime).  Each leaf is rejected mod p
-unless the leading coefficient is nonzero, the forced values are residues of
-B, and every fiber's multiplicities, counted by synthetic division of P - b,
-sum to gamma.  Only the survivors are interpolated exactly and certified.
-The degree window already makes every such leaf onto, with at most gamma
-elements per fiber, so neither is tested.
-
-Filtering loses no witness when p is good for (A, B): every denominator is
-prime to p, and A's residues, and B's, are pairwise distinct.  A witness
-then has P - b = c*prod(X - a)^e with c = (b' - b)/prod(a' - a)^e a p-unit,
-so its reduction passes every test with the same multiplicities (synthetic
-division needs no condition on the characteristic).  A bad p moves the
-search to the next split prime; there is no other route.
-
-Equal cardinalities are the window {1}: linear_maps_between, equivalent,
+by fiber, as an incremental Newton interpolation modulo a split prime
+p = 1 (mod N), zeta -> w (field.split_prime), that is good for (A, B).  Only
+the leaves that pass every test mod p build an exact P, from the roots of
+one fiber, and certify it.  _search_degree proves that no witness is lost
+and that P is the leaf's interpolant whenever either is a witness.  Equal
+cardinalities are the window {1}: linear_maps_between, equivalent,
 stabilizer and chi read the linear maps of A onto B off find_reductions.
 
 successors enumerates the root data of a prospective witness (a support in A
-with multiplicities) instead of target sets.  A candidate's image set is the
-product of difference powers (x_t - x_i)^e at each point outside the support.
-Two tests run first, modulo a split prime q good for A: the degree window
-gamma(n-1) <= m-1 on the images' residues (distinct residues are at most as
-many as distinct images), and the leaf test of the witness search
-(_fibers_full_mod_p): the points grouped by image residue must fill the
-fibers of base mod q.  A witness passes both, so their rejections are
-proofs.  Only the survivors form exact images, and only an image set of a
-class not yet found gets a certificate, which alone accepts a witness.  The
-normalized witness c*base keeps base's fibers with targets scaled by c,
-since c*(base - w) has the roots and multiplicities of base - w.
+with multiplicities) instead of target sets.  Two tests modulo a split prime
+good for A, the degree window and the witness search's leaf test, run before
+any exact image is formed, and only a candidate of a new class is certified.
 """
 from __future__ import annotations
 
@@ -50,7 +32,7 @@ from operator import mul
 
 from .classes import ClassInvariant, FiniteSubset, canonical_invariant
 from .field import FieldElement, _check_same_field
-from .poly import LinearMap, Poly, _coerce, _newton_to_poly
+from .poly import LinearMap, Poly, _coerce
 
 
 @dataclass(frozen=True)
@@ -104,37 +86,33 @@ class Reduction:
 def _fiber_certificate(P: Poly, A: FiniteSubset, B: FiniteSubset):
     """The fiber data proving A = P^{-1}(B), or None when it fails.
 
-    Derivatives of P are computed once; the multiplicity of a in P - b is the
-    least k >= 1 with P^(k)(a) nonzero (P(a) = b is checked first).
+    Multiplicities are counted by synthetic division, as _divide_out does
+    mod p: dividing P by X - a leaves P(a) as the remainder, and each further
+    division of the quotient with remainder 0 adds one to the multiplicity
+    of a in P - P(a).
     """
-    gamma = P.degree
     groups = {}
     for a in A.elems:
-        v = P(a)
-        if v not in B:
-            return None
-        groups.setdefault(v, []).append(a)
+        q, e = P.coeffs[::-1], 0  # descending
+        while True:
+            quot = [q[0]]
+            for c in q[1:]:
+                quot.append(quot[-1] * a + c)
+            rem = quot.pop()
+            if not e:
+                if rem not in B:
+                    return None
+                v = rem
+            elif not rem.is_zero():
+                break
+            q, e = quot, e + 1
+        groups.setdefault(v, []).append((a, e))
     if len(groups) != len(B):
         return None
-    derivs = [P.derivative()]
-    fibers = []
-    for b in B.elems:
-        pre = []
-        total = 0
-        for a in groups[b]:
-            e = 1
-            while True:
-                while len(derivs) < e:
-                    derivs.append(derivs[-1].derivative())
-                if not derivs[e - 1](a).is_zero():
-                    break
-                e += 1
-            pre.append((a, e))
-            total += e
-        if total != gamma:
-            return None
-        fibers.append((b, tuple(pre)))
-    return tuple(fibers)
+    fibers = tuple((b, tuple(groups[b])) for b in B.elems)
+    if any(sum(e for _, e in pre) != P.degree for _, pre in fibers):
+        return None
+    return fibers
 
 
 def check_exact_preimage(P, A: FiniteSubset, B: FiniteSubset) -> bool:
@@ -178,19 +156,24 @@ def _divide_out(q: list, a: int, p: int) -> list:
     return q
 
 
-def _fibers_full_mod_p(poly: list, fibers, p: int) -> bool:
-    """Whether, for every (w, points) in fibers, dividing poly - w by X - a as
-    often as it goes, for each a in points, leaves a constant: each fiber's
-    multiplicities sum to deg poly.  poly is ascending over F_p with a
-    nonzero lead, and the points are pairwise distinct mod p."""
+def _fibers_full_mod_p(poly: list, fibers, p: int):
+    """For every (w, points) in fibers, the multiplicities of the points in
+    poly - w, counted by dividing out X - a as often as it goes; None unless
+    each fiber's multiplicities sum to deg poly.  poly is ascending over F_p
+    with a nonzero lead, and the points are pairwise distinct mod p."""
+    out = []
     for w, points in fibers:
         q = poly[:]
         q[0] = (q[0] - w) % p
+        mults = []
         for a in points:
+            size = len(q)
             q = _divide_out(q, a, p)
+            mults.append(size - len(q))
         if len(q) > 1:
-            return False
-    return True
+            return None
+        out.append(mults)
+    return out
 
 
 def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
@@ -202,8 +185,11 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     of residues = (p, A mod p, B mod p); the other values are forced.  A leaf
     is rejected when, mod p, the leading coefficient vanishes, a forced value
     is not a residue of B, or some fiber's multiplicities (counted by
-    synthetic division of P - b) do not sum to gamma.  Only the survivors
-    are interpolated exactly and certified by _fiber_certificate.
+    synthetic division of P - b) do not sum to gamma.  Each survivor builds
+    one exact P = b0 + c*prod(X - a)^e from the fiber of x_0's target b0,
+    with the multiplicities e the leaf counted mod p and
+    c = (b_t - b0)/prod(x_t - a)^e, x_t the first point outside that fiber
+    and b_t its target; _fiber_certificate then accepts or rejects P.
 
     The degree window m/n <= gamma <= (m-1)/(n-1) decides three checks, so
     they are not run.  No forced value overfills a fiber: with the lead
@@ -212,7 +198,7 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     No prefix leaves too few elements to reach every target: that needs
     more than m-n repeated targets, but a prefix (gamma+1 values, at most
     gamma per target) repeats at most gamma-1, and gamma-1 <= (gamma-1)(n-1)
-    <= m-n.
+    <= m-n.  A free prefix of gamma+1 values holds two targets, so x_t exists.
 
     This loses no witness.  For a witness P and b in B, P - b = c*prod(X - a)^e
     over the fiber of b, and c = (b' - b)/prod(a' - a)^e for a' in another
@@ -222,6 +208,17 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     the reduction passes every test with the same fibers and multiplicities.
     find_reductions passes the first good prime (_split_residues): a bad one
     is skipped, never searched.
+
+    The built P is the leaf's Newton interpolant N whenever either is a
+    witness.  The leaf polynomial L mod p is b0 + lead*prod(X - a)^e, and P
+    reduces to b0 + c*prod(X - a)^e with prod(x_t - a)^e a p-unit; both take
+    b_t at x_t, so c = lead mod p and P reduces to L.  If P certifies, each
+    P(x_i) is the target whose residue L(x_i) is, so P has the leaf's
+    assignment; of degree gamma through gamma+1 assigned points, P = N.  If N
+    is a witness, the argument above gives it, at x_0's fiber, exactly the
+    multiplicities e counted mod p, so N - b0 = c'*prod(X - a)^e, and
+    evaluating at x_t gives c' = c: N = P.  So the outputs, and the
+    certificates run, are those of certifying N at every surviving leaf.
     """
     field = A.field
     xs, targets = A.elems, B.elems
@@ -234,24 +231,6 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     index = {b: j for j, b in enumerate(br)}
     counts = [0] * nb
     path = []  # target index of each free element
-    exact_invd = []  # 1/(x_i - x_j), built for the first survivor
-
-    def certify() -> None:
-        if not exact_invd:
-            exact_invd.extend([(xs[i] - xs[j]).inverse() for j in range(i)]
-                              for i in range(k))
-        dd, coeffs = [], []
-        for depth, j in enumerate(path):
-            row = exact_invd[depth]
-            ndd = [targets[j]]
-            for t in range(depth):
-                ndd.append((ndd[t] - dd[t]) * row[depth - 1 - t])
-            coeffs.append(ndd[-1])
-            dd = ndd
-        P = _newton_to_poly(field, coeffs, xs)
-        fibers = _fiber_certificate(P, A, B)
-        if fibers is not None:
-            out.append(Reduction(P, A, B, gamma, fibers))
 
     def rec(depth: int, dd: list, coeffs: list) -> None:
         if first_only and out:
@@ -277,11 +256,23 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
                     nxt[i] = (nxt[i] - xt * poly[i - 1]) % p
                 poly = nxt
             poly.reverse()
-            fibers = [[] for _ in range(nb)]
+            groups = [[] for _ in range(nb)]
             for i, j in enumerate(assign):
-                fibers[j].append(xr[i])
-            if _fibers_full_mod_p(poly, zip(br, fibers), p):
-                certify()
+                groups[j].append(xr[i])
+            mults = _fibers_full_mod_p(poly, zip(br, groups), p)
+            if mults is None:
+                return
+            j0 = assign[0]
+            fiber = [i for i, j in enumerate(assign) if j == j0]
+            roots = [(xs[i], e) for i, e in zip(fiber, mults[j0])]
+            t = next(i for i, j in enumerate(assign) if j != j0)
+            b0 = targets[j0]
+            c = (targets[assign[t]] - b0) / reduce(
+                mul, [(xs[t] - a) ** e for a, e in roots])
+            P = Poly.from_roots(field, roots) * c + Poly(field, [b0])
+            fibers = _fiber_certificate(P, A, B)
+            if fibers is not None:
+                out.append(Reduction(P, A, B, gamma, fibers))
             return
         row = invd[depth]
         for j, v in enumerate(br):
@@ -462,9 +453,8 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     gamma elements follow from it, so neither is run.  The class key is a
     function of W alone, so a candidate whose key is already found cannot
     change the result and skips the certificate; a new key enters only
-    once certified.  The witness c*base with c = 1/base(x_j) maps A onto
-    c*W with base's fibers, targets scaled by c: c*(base - w) has the roots
-    and multiplicities of base - w, so no second certificate runs.
+    once certified.  The witness c*base, with c = 1/base(x_j), is built
+    and certified directly onto c*W, an affine image of W with the same key.
     """
     m = len(A)
     if m < 2:
@@ -512,7 +502,7 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                     fibers_q = {}
                     for t, r in zip(others, residues):
                         fibers_q.setdefault(r, []).append(xr[t])
-                    if not _fibers_full_mod_p(base_q, fibers_q.items(), q):
+                    if _fibers_full_mod_p(base_q, fibers_q.items(), q) is None:
                         continue  # the exact certificate would fail too
                     values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
                               for t in others]
@@ -521,16 +511,13 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                     key = inv.key()
                     if key in out:
                         continue
-                    base = Poly.from_roots(field, [(xs[i], e) for i, e in roots])
-                    fibers = _fiber_certificate(base, A, W)
-                    if fibers is None:
-                        continue
                     c = values[0].inverse()
-                    scaled = sorted(((c * w, pre) for w, pre in fibers),
-                                    key=lambda f: f[0])
-                    B = FiniteSubset(field, [b for b, _ in scaled])
-                    out[key] = SuccessorClass(
-                        inv, Reduction(base * c, A, B, gamma, tuple(scaled)), False)
+                    P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
+                    B = FiniteSubset(field, [c * w for w in W.elems])
+                    fibers = _fiber_certificate(P, A, B)
+                    if fibers is not None:
+                        out[key] = SuccessorClass(
+                            inv, Reduction(P, A, B, gamma, fibers), False)
     return sorted(out.values(), key=lambda sc: (sc.invariant.n, sc.invariant.key()))
 
 

@@ -6,7 +6,8 @@ Fractions over Q, the successor oracle enumerates set partitions with
 multiplicity vectors, the linear-map oracle tries the n(n-1) maps that
 send the two least source elements to an ordered pair of targets, the
 inverse oracle multiplies all phi(N) - 1 Galois conjugates one by one, and
-the invariant oracle takes the minimum over every full lambda-tuple.
+the invariant oracle takes the minimum over every full lambda-tuple, and
+the certificate oracle reads multiplicities off derivatives.
 Agreement between these and the package routines is what the dual-route
 tests assert.
 """
@@ -279,3 +280,39 @@ def canonical_invariant_oracle(B):
             if best is None or lams < best:
                 best = lams
     return ClassInvariant(n, best)
+
+
+def fiber_certificate_oracle(P, A, B):
+    """The fiber data of _fiber_certificate by the derivative criterion.
+
+    The multiplicity of a in P - P(a) is the least k >= 1 with the k-th
+    derivative of P nonzero at a (characteristic 0).  Derivatives are taken
+    on the coefficient list and evaluated by Horner, with no Poly method.
+    None unless P(A) = B and each fiber's multiplicities sum to deg P;
+    otherwise, per target of B in order, the (a, e) of its preimages in A's
+    order.
+    """
+    def ev(coeffs, x):
+        acc = x.field.zero()
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    coeffs = list(P.coeffs)
+    derivs = []
+    d = coeffs
+    while len(d) > 1:
+        d = [k * c for k, c in enumerate(d)][1:]
+        derivs.append(d)
+    fibers = {b: [] for b in B}
+    for a in A:
+        v = ev(coeffs, a)
+        if v not in fibers:
+            return None
+        e = 1
+        while ev(derivs[e - 1], a).is_zero():
+            e += 1
+        fibers[v].append((a, e))
+    if any(sum(e for _, e in pre) != len(coeffs) - 1 for pre in fibers.values()):
+        return None
+    return tuple((b, tuple(fibers[b])) for b in B)

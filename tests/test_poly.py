@@ -63,6 +63,27 @@ def test_derivative_order_validated(F12):
             P.derivative(order)
 
 
+def test_from_roots_matches_product_of_linear_factors(F12):
+    rng = random.Random(16)
+    for _ in range(10):
+        roots = [(F12.element([Fraction(rng.randint(-3, 3)) for _ in range(F12.degree)]),
+                  rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+        want = Poly(F12, [1])
+        for a, e in roots:
+            for _ in range(e):
+                want = want * Poly(F12, [-a, 1])
+        assert Poly.from_roots(F12, roots) == want
+
+
+def test_from_roots_multiplicities_validated(F12):
+    two = F12.from_rational(2)
+    assert Poly.from_roots(F12, []) == Poly.from_roots(F12, [(two, 0)]) == Poly(F12, [1])
+    assert Poly.from_roots(F12, [(two, 2), (0, 1)]) == Poly(F12, [0, 4, -4, 1])
+    for e in (-1, True, False, 1.0, Fraction(1), "1", None):
+        with pytest.raises(ValueError, match="root multiplicity"):
+            Poly.from_roots(F12, [(two, e)])
+
+
 def test_compose(F12):
     P = Poly(F12, [0, -1, 1])
     Q = Poly(F12, [1, 1])

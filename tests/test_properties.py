@@ -1,16 +1,21 @@
 """Property tests: field inverses, the affine invariance of the canonical
 invariant, the successor classes found modulo a split prime against the
-exact partition oracle, and the witness search against the successor
-classes, over generated elements, sets and maps (Hypothesis,
+exact partition oracle, the witness search against the successor classes
+and against the Fraction oracle, the fiber certificate against the
+derivative criterion, and the multiplicities of every witness modulo its
+good split prime, over generated elements, sets and maps (Hypothesis,
 derandomized)."""
+import json
 from fractions import Fraction
+from itertools import count
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import successor_oracle
-from polyred import (FiniteSubset, LinearMap, canonical_invariant, make_field, reduces,
-                     successors)
+from helpers import fiber_certificate_oracle, reduction_oracle_q, successor_oracle
+from polyred import (FiniteSubset, LinearMap, Poly, canonical_invariant, find_reductions,
+                     make_field, reduces, successors)
+from polyred.reduction import _divide_out, _fiber_certificate, _split_residues
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -102,3 +107,119 @@ def test_reduces_iff_class_among_successors(A, data):
                                                       min_size=2, max_size=3)))
     keys = {sc.invariant.key() for sc in found}
     assert reduces(A, B) == (canonical_invariant(B).key() in keys)
+
+
+@st.composite
+def planted_certificates(draw):
+    """A planted witness P = b0 + c*prod(X - a)^e with the near misses the
+    certificate must reject, as (P, A, B, passes) cases over Q(zeta_4) or
+    Q(zeta_12).
+
+    The root data is random, and so are the scale c and the shift b0.  A is
+    either that root data's support plus random points, with B = P(A), or,
+    for P = b0 + c*(X - s)^k with k | N, the full preimage {s} U (s + r*mu_k)
+    of B = {b0} U {b0 + c*r^k} over random r, which the certificate accepts.
+    From each, the near misses: a point of A dropped, a stray point added, a
+    target of B removed, and one multiplicity one short."""
+    N = draw(st.sampled_from((4, 12)))
+    field = make_field(N)
+    small = elements(field, st.integers(-2, 2))
+    c = draw(small.filter(lambda x: not x.is_zero()))
+    b0 = draw(small)
+    if draw(st.booleans()):
+        support = draw(st.lists(small, min_size=1, max_size=3, unique=True))
+        roots = [(a, draw(st.integers(1, 3))) for a in support]
+        extra = draw(st.lists(small, max_size=3, unique=True))
+        A = FiniteSubset(field, set(support) | set(extra))
+        P = Poly.from_roots(field, roots) * c + Poly(field, [b0])
+        B = FiniteSubset(field, {P(a) for a in A})
+        passes = None
+    else:
+        k = draw(st.sampled_from([d for d in (1, 2, 3, 4) if N % d == 0]))
+        s = draw(small)
+        radii = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+        roots = [(s, k)]
+        zeta = field.zeta(N // k)
+        A = FiniteSubset(field, [s] + [s + r * zeta ** j for r in radii for j in range(k)])
+        B = FiniteSubset(field, [b0] + [b0 + c * r ** k for r in radii])
+        P = Poly.from_roots(field, roots) * c + Poly(field, [b0])
+        passes = True
+    cases = [(P, A, B, passes)]
+    if len(A) > 1:
+        dropped = draw(st.sampled_from(A.elems))
+        cases.append((P, FiniteSubset(field, [a for a in A if a != dropped]), B, False))
+    stray = draw(small.filter(lambda x: x not in A))
+    cases.append((P, FiniteSubset(field, [*A, stray]), B, passes and False))
+    if len(B) > 1:
+        removed = draw(st.sampled_from(B.elems))
+        cases.append((P, A, FiniteSubset(field, [b for b in B if b != removed]), False))
+    if P.degree > 1:
+        i = draw(st.sampled_from(range(len(roots))))
+        short = [(a, e - (j == i)) for j, (a, e) in enumerate(roots)]
+        P_short = Poly.from_roots(field, short) * c + Poly(field, [b0])
+        cases.append((P_short, A, B, None if passes is None else False))
+    return cases
+
+
+@PROPERTY
+@given(planted_certificates())
+def test_fiber_certificate_matches_derivative_oracle(cases):
+    for P, A, B, passes in cases:
+        got = _fiber_certificate(P, A, B)
+        assert got == fiber_certificate_oracle(P, A, B)
+        if passes is not None:
+            assert (got is not None) == passes
+
+
+@st.composite
+def pairs_at_bad_primes(draw):
+    """(A, B): A from rational_sets_at_bad_primes and B a target of one of
+    its successor witnesses or a random rational 2- or 3-set, which may hold
+    the special value q0 or 1/q0 of the first split prime q0 as well."""
+    A = draw(rational_sets_at_bad_primes())
+    targets = [sc.witness.target for sc in successors(A) if not sc.trivial]
+    if targets and draw(st.booleans()):
+        return A, draw(st.sampled_from(targets))
+    q0 = A.field.split_prime(0).p
+    special = draw(st.sampled_from(((), (q0,), (Fraction(1, q0),))))
+    vals = draw(st.lists(rationals_small.filter(lambda v: v not in special), unique=True,
+                         min_size=2 - len(special), max_size=3 - len(special)))
+    return A, FiniteSubset(A.field, [*special, *vals])
+
+
+@PROPERTY
+@given(pairs_at_bad_primes())
+def test_find_reductions_match_fraction_oracle(pair):
+    """Modular search, exact certificate: find_reductions returns exactly the
+    witnesses of the all-degree Fraction oracle, also at bad primes."""
+    A, B = pair
+    got = sorted(json.dumps(r.to_json_obj()["coeffs"]) for r in find_reductions(A, B))
+    want = sorted(json.dumps(Poly(A.field, coeffs).encode()) for coeffs in
+                  reduction_oracle_q([a.as_fraction() for a in A],
+                                     [b.as_fraction() for b in B]))
+    assert got == want
+
+
+@PROPERTY
+@given(pairs_at_bad_primes())
+def test_witness_multiplicities_hold_mod_good_prime(pair):
+    """The lemma behind building each witness from multiplicities counted mod
+    p: every witness find_reductions and successors return, reduced at the
+    good split prime of _split_residues(A, B), loses from each fiber's P - b,
+    by _divide_out, exactly the certificate's multiplicities, down to a
+    constant."""
+    A, B = pair
+    witnesses = [sc.witness for sc in successors(A) if not sc.trivial]
+    witnesses += find_reductions(A, B)
+    for r in witnesses:
+        p = _split_residues(r.source, r.target)[0]
+        sp = next(s for s in map(A.field.split_prime, count()) if s.p == p)
+        poly = [sp.residue(c) for c in r.poly.coeffs]
+        for b, pre in r.fibers:
+            q = poly[:]
+            q[0] = (q[0] - sp.residue(b)) % p
+            for a, e in pre:
+                size = len(q)
+                q = _divide_out(q, sp.residue(a), p)
+                assert size - len(q) == e
+            assert len(q) == 1

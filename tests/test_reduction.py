@@ -342,7 +342,8 @@ def test_successors_closed_under_composition(F8, F12):
 def test_successors_exact_product_count(F12, monkeypatch):
     """Both tests run on residues, so only their few survivors form exact
     images: successors on {0, +-1, +-2, +-3} makes under 300 exact products
-    (89; 224 with a certificate per new image set before the class dedup,
+    (70; 89 when the certificate evaluated P and its derivatives at each
+    point; 224 with a certificate per new image set before the class dedup,
     572 with an eager table of difference powers and a second certificate
     per class as well, about 14,800 when every candidate's image is built
     exactly).  int * element goes through __rmul__, counted too."""
@@ -359,6 +360,32 @@ def test_successors_exact_product_count(F12, monkeypatch):
     monkeypatch.setattr(FieldElement, "__rmul__", counting)
     successors(A)
     assert 0 < calls[0] < 300
+
+
+def test_witness_search_inverts_once_per_survivor(F12, monkeypatch):
+    """A = {0} U mu_6 onto {0, +-1}: gamma = 3 and the witnesses are +-X^3.
+    Each surviving leaf builds its witness from one fiber's roots with one
+    exact inverse, so first_only makes 1 FieldElement.inverse call and the
+    full search 2 (6 each when the leaf was re-interpolated by exact divided
+    differences)."""
+    from polyred.field import FieldElement
+    A = FiniteSubset(F12, [F12.zero(), *roots_of_unity(F12, 6)])
+    B = _fs(F12, [0, 1, -1])
+    calls = [0]
+    inverse = FieldElement.inverse
+
+    def counting(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    for first_only, want_calls, want_polys in [
+            (True, 1, [Poly(F12, [0, 0, 0, 1])]),
+            (False, 2, [Poly(F12, [0, 0, 0, -1]), Poly(F12, [0, 0, 0, 1])])]:
+        calls[0] = 0
+        found = find_reductions(A, B, first_only=first_only)
+        assert [r.poly for r in found] == want_polys
+        assert calls[0] == want_calls
 
 
 def test_successors_entries_verified(F12):
