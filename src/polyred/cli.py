@@ -32,10 +32,10 @@ from .reduction import (chi, degree_bounds, find_reductions, linear_maps_between
                         stabilizer, successors)
 from .vandermonde import build_enriched, exact_rank
 
-# Largest accepted cyclotomic order.  Building Q(zeta_N) is cheap (8 ms at
+# Largest accepted cyclotomic order.  Building Q(zeta_N) is cheap (16 ms at
 # N = 512); the arithmetic grows.  On a 2-core Xeon, one inverse of an element
-# with coordinates in [-5, 5] takes 0.15 s at N = 512, five- to sixfold more
-# per doubling of N, and one square root there (predecessor) takes 12 s.
+# with coordinates in [-5, 5] takes 0.02 s at N = 512, four- to fivefold more
+# per doubling of N, and one square root there (predecessor) takes 18 s.
 MAX_ORDER = 512
 
 # Largest M that `bounds M N` accepts.  The window holds about M/(N(N-1))

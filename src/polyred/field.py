@@ -12,12 +12,11 @@ Fraction.  Fraction appears only at the boundary: the coords view (and so
 encode and str), as_fraction, and Fraction input to element and from_rational.
 The only rational scalars are int (not bool) and Fraction: TypeError otherwise.
 
-Inversion is integer-only as well: the product P of the Galois conjugates
-sigma_k(v), k != 1, of an integer vector v, divided by its norm v*P.  The unit
-group (Z/N)^* is split once per field into a chain of generators g_i with
-relative orders m_i, and P is built factor by factor with the doubling chain
-P_(a+b) = P_a * sigma_(g^a)(P_b) of Itoh and Tsujii, so a factor of order m
-costs O(log m) products instead of m - 1.
+Inversion is integer-only as well: for an integer vector v the field finds an
+integer vector P with v*P = n a nonzero integer, so 1/(v/den) = den*P/n.  P is
+1 for a rational v; when 4 | N one relative-norm step z -> -z halves N; else
+P is the product of the conjugates sigma_k(v), k != 1, built over a cyclic
+splitting of (Z/N)^* by the doubling chain of Itoh and Tsujii.
 
 ``sqrt`` is a decision procedure in integer arithmetic: it takes square roots
 modulo a prime, Hensel-lifts them past a proven coefficient bound and checks
@@ -114,7 +113,7 @@ def make_field(order: int) -> "CyclotomicField":
 class CyclotomicField:
     """Q(zeta_N) with exact power-basis arithmetic modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "degree", "modulus", "_powers", "_constants", "_units", "_zeta",
+    __slots__ = ("order", "degree", "modulus", "_rows", "_constants", "_units", "_zeta",
                  "_sqrt", "_split")
 
     def __init__(self, order: int):
@@ -126,25 +125,25 @@ class CyclotomicField:
         self.modulus = _cyclotomic_coeffs(order)
         self.degree = len(self.modulus) - 1
         d = self.degree
-        # _powers[j] = coordinates of z^j in the power basis, j = 0..N-1;
-        # integer rows because the modulus is monic with integer coefficients.
-        # A product folds its overflow z^k through row k mod N, and sigma_k
-        # sends z^j to row jk mod N.
+        # _rows[k] = the nonzero (i, c) coordinates of z^k in the power basis,
+        # k = 0..N-1; integer because the modulus is monic with integer
+        # coefficients.  A product folds its overflow z^k through row k mod N,
+        # and sigma_k sends z^j to row jk mod N.
         top_row = [-c for c in self.modulus[:d]]
         row = [1] + [0] * (d - 1)
-        powers = []
+        rows = []
         for _ in range(order):
-            powers.append(tuple(row))
+            rows.append(tuple((i, c) for i, c in enumerate(row) if c))
             top = row[-1]
             row = [0] + row[:-1]
             if top:
                 row = [r + top * t for r, t in zip(row, top_row)]
-        self._powers = tuple(powers)
+        self._rows = tuple(rows)
         # _constants[k] = constant coordinate of z^k, k = 0..2d-2: every
         # exponent of a product of two coordinate vectors
-        self._constants = tuple(powers[k % order][0] for k in range(2 * d - 1))
+        self._constants = tuple(dict(rows[k % order]).get(0, 0) for k in range(2 * d - 1))
         self._units = None  # _unit_chain(order), built by the first inverse
-        self._zeta = self._make(powers[1 % order], 1)
+        self._zeta = self._make(tuple(dict(rows[1 % order]).get(i, 0) for i in range(d)), 1)
         self._sqrt = None  # _SqrtData, built by the first FieldElement.sqrt
         self._split = []  # _SplitPrime list, extended by split_prime
 
@@ -178,14 +177,12 @@ class CyclotomicField:
                     if bj:
                         conv[i + j] += ai * bj
         num = conv[:d]
-        powers, n = self._powers, self.order
+        rows, n = self._rows, self.order
         for k in range(d, 2 * d - 1):
             c = conv[k]
             if c:
-                row = powers[k % n]
-                for i in range(d):
-                    if row[i]:
-                        num[i] += c * row[i]
+                for i, r in rows[k % n]:
+                    num[i] += c * r
         return num
 
     def _constant_row(self, y) -> list[int]:
@@ -196,14 +193,41 @@ class CyclotomicField:
 
     def _conjugate(self, num, k: int) -> list[int]:
         """sigma_k(num): the integer vector num with z replaced by z^k."""
-        n, powers = self.order, self._powers
+        n, rows = self.order, self._rows
         out = [0] * self.degree
         for j, v in enumerate(num):
             if v:
-                for i, c in enumerate(powers[j * k % n]):
-                    if c:
-                        out[i] += v * c
+                for i, c in rows[j * k % n]:
+                    out[i] += v * c
         return out
+
+    def _adjugate(self, v) -> tuple[list[int], int]:
+        """(P, n) with P an integer vector and v*P = n a nonzero integer, for
+        the nonzero integer vector v: the three cases of FieldElement.inverse."""
+        if not any(v[1:]):
+            return [1] + [0] * (self.degree - 1), v[0]
+        product, n = self._product, self.order
+        if n % 4 == 0:
+            s = [-c if j & 1 else c for j, c in enumerate(v)]
+            half, norm = make_field(n // 2)._adjugate(product(v, s)[0::2])
+            lift = [0] * self.degree
+            lift[0::2] = half
+            return product(s, lift), norm
+        if self._units is None:
+            self._units = _unit_chain(n)
+        conjugate, chain = self._conjugate, self._units
+        prod, full = None, v
+        for index, (g, m) in enumerate(chain):
+            part, a = full, 1
+            for bit in bin(m - 1)[3:]:
+                part, a = product(part, conjugate(part, pow(g, a, n))), 2 * a
+                if bit == "1":
+                    part, a = product(full, conjugate(part, g)), a + 1
+            t = conjugate(part, g)
+            prod = t if prod is None else product(prod, t)
+            if index + 1 < len(chain):
+                full = product(full, t)
+        return prod, sum(map(mul, v, self._constant_row(prod)))
 
     def _from_pairs(self, pairs) -> "FieldElement":
         """Element from integer (numerator, positive denominator) coordinate
@@ -582,14 +606,22 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse through the norm, in integer arithmetic only.
+        """Multiplicative inverse in integer arithmetic: with self = v/den for
+        an integer vector v, _adjugate(v) gives an integer vector P and a
+        nonzero integer n = v*P, and 1/self = den*P/n.  A rational v (every
+        v when the degree is 1) takes P = 1.
 
-        Write self = v/den with v an integer vector.  The conjugates
-        sigma_k(v), z -> z^k for k != 1 in (Z/N)^*, multiply to an integer
-        element P with v*P = N(v), the norm of v: a nonzero rational integer.
-        Hence 1/self = den*P/N(v).
+        When 4 | N, s = v with its odd coordinates negated is sigma(v) for
+        sigma: z -> -z = z^(1+N/2).  The polynomial v(X)v(-X) is even, E(X^2),
+        and Phi_N(X) = Phi_(N/2)(X^2), so it reduces modulo Phi_N to R(X^2)
+        with R = E mod Phi_(N/2): v*s has zero odd coordinates, and its even
+        ones are R in Q(zeta_(N/2)), basis z^(2i) = zeta_(N/2)^i.  The field
+        of order N/2 gives R*P' = n, and P = s*P'(z^2).  For N = 2^k that is
+        two products per halving and no conjugation.
 
-        P is built over the chain (g_i, m_i) of _unit_chain.  With Q the
+        Otherwise P is the product of the Galois conjugates sigma_k(v),
+        z -> z^k for k != 1 in (Z/N)^*, and n = v*P is the norm.  P is
+        built over the chain (g_i, m_i) of _unit_chain.  With Q the
         product of sigma_h(v) over h in H_(i-1), the factor g_i contributes
         T = prod_(1 <= a < m_i) sigma_(g_i^a)(Q) = sigma_(g_i)(Q_(m_i - 1)),
         where Q_a = prod_(e < a) sigma_(g_i^e)(Q) follows the doubling chain
@@ -599,27 +631,8 @@ class FieldElement:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        fld = self.field
-        v = self.num
-        if fld.degree == 1:
-            return fld._normalized([self.den], v[0])
-        if fld._units is None:
-            fld._units = _unit_chain(fld.order)
-        product, conjugate, n = fld._product, fld._conjugate, fld.order
-        chain = fld._units
-        prod, full = None, v
-        for index, (g, m) in enumerate(chain):
-            part, a = full, 1
-            for bit in bin(m - 1)[3:]:
-                part, a = product(part, conjugate(part, pow(g, a, n))), 2 * a
-                if bit == "1":
-                    part, a = product(full, conjugate(part, g)), a + 1
-            t = conjugate(part, g)
-            prod = t if prod is None else product(prod, t)
-            if index + 1 < len(chain):
-                full = product(full, t)
-        norm = sum(map(mul, v, fld._constant_row(prod)))
-        return fld._normalized([self.den * c for c in prod], norm)
+        prod, norm = self.field._adjugate(self.num)
+        return self.field._normalized([self.den * c for c in prod], norm)
 
     def __truediv__(self, other):
         o = self._co(other)

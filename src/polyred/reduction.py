@@ -189,7 +189,8 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     one exact P = b0 + c*prod(X - a)^e from the fiber of x_0's target b0,
     with the multiplicities e the leaf counted mod p and
     c = (b_t - b0)/prod(x_t - a)^e, x_t the first point outside that fiber
-    and b_t its target; _fiber_certificate then accepts or rejects P.
+    and b_t its target; _fiber_certificate then accepts or rejects P.  The
+    inverse of prod(x_t - a)^e is computed once per (t, fiber, e).
 
     The degree window m/n <= gamma <= (m-1)/(n-1) decides three checks, so
     they are not run.  No forced value overfills a fiber: with the lead
@@ -231,6 +232,7 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     index = {b: j for j, b in enumerate(br)}
     counts = [0] * nb
     path = []  # target index of each free element
+    inverses = {}  # 1/prod(x_t - a)^e by (t, fiber indices, multiplicities)
 
     def rec(depth: int, dd: list, coeffs: list) -> None:
         if first_only and out:
@@ -266,9 +268,11 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
             fiber = [i for i, j in enumerate(assign) if j == j0]
             roots = [(xs[i], e) for i, e in zip(fiber, mults[j0])]
             t = next(i for i, j in enumerate(assign) if j != j0)
+            key = (t, tuple(fiber), tuple(mults[j0]))
+            if key not in inverses:
+                inverses[key] = reduce(mul, [(xs[t] - a) ** e for a, e in roots]).inverse()
             b0 = targets[j0]
-            c = (targets[assign[t]] - b0) / reduce(
-                mul, [(xs[t] - a) ** e for a, e in roots])
+            c = (targets[assign[t]] - b0) * inverses[key]
             P = Poly.from_roots(field, roots) * c + Poly(field, [b0])
             fibers = _fiber_certificate(P, A, B)
             if fibers is not None:

@@ -13,7 +13,7 @@ import sympy as sp
 
 import polyred
 from polyred import FieldMismatchError, make_field
-from polyred.field import FieldElement, _unit_chain
+from polyred.field import CyclotomicField, FieldElement, _unit_chain
 from helpers import inverse_oracle
 
 
@@ -126,47 +126,85 @@ def test_field_axioms_random(F12):
             assert a * a.inverse() == one
 
 
-def test_multiplication_against_sympy_polynomial_reduction(F12):
+def _sympy_poly(coords, y):
+    return sp.Poly([sp.Rational(c) for c in reversed(coords)], y, domain="QQ")
+
+
+def _sympy_coords(p, degree):
+    want = [sp.Rational(0)] * degree
+    for mono, coeff in zip(p.monoms(), p.coeffs()):
+        want[mono[0]] = coeff
+    return want
+
+
+def test_multiplication_against_sympy_polynomial_reduction():
+    """Products, and the conjugations sigma_k on integer vectors, against
+    sympy's reduction modulo Phi_N, on sparse and dense inputs: both fold
+    through the sparse reduction rows."""
     y = sp.Symbol("y")
-    cyc = sp.Poly(sp.cyclotomic_poly(12, y), y)
     rng = random.Random(13)
-    for _ in range(25):
-        a, b = _rand_elem(F12, rng, 5), _rand_elem(F12, rng, 5)
-        pa = sp.Poly([sp.Rational(c) for c in reversed(a.coords)], y)
-        pb = sp.Poly([sp.Rational(c) for c in reversed(b.coords)], y)
-        prod = (pa * pb) % cyc
-        got = (a * b).coords
-        want = [sp.Rational(0)] * F12.degree
-        for mono, coeff in zip(prod.monoms(), prod.coeffs()):
-            want[mono[0]] = coeff
-        assert [sp.Rational(c) for c in got] == want
+    for order in (1, 2, 3, 4, 5, 8, 9, 12, 13, 15, 16, 21, 24, 32, 60):
+        F = make_field(order)
+        cyc = sp.Poly(sp.cyclotomic_poly(order, y), y, domain="QQ")
+        units = [k for k in range(order) if math.gcd(k, order) == 1]
+        for sparse in (True, False, True, False):
+            if sparse:
+                a, b = (F.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                   if rng.random() < 2 / F.degree else 0
+                                   for _ in range(F.degree)]) for _ in range(2))
+            else:
+                a, b = _rand_elem(F, rng, 5), _rand_elem(F, rng, 5)
+            prod = (_sympy_poly(a.coords, y) * _sympy_poly(b.coords, y)).rem(cyc)
+            assert [sp.Rational(c) for c in (a * b).coords] == _sympy_coords(
+                prod, F.degree), (order, a, b)
+            for k in rng.sample(units, min(3, len(units))):
+                sub = sp.Poly(sum(c * y ** (j * k) for j, c in enumerate(a.num)), y,
+                              domain="QQ").rem(cyc)
+                assert F._conjugate(a.num, k) == _sympy_coords(sub, F.degree), (order, k, a)
 
 
-def test_inverse_against_sympy():
-    """Against sympy and the one-by-one conjugate product.  The unit groups
-    are cyclic (2, 4, 7, 13, 17), C2 x C2 (12), C2 x C4 (15, 16), C2 x C6
-    (21), C2 x C2 x C2 (24) and C2 x C2 x C4 (60), so the Itoh-Tsujii chain
-    meets factor orders 2 to 16 and up to three factors."""
+def test_inverse_against_sympy(monkeypatch):
+    """Against sympy and, up to degree 24, the one-by-one conjugate product.
+    For 4 | N the tower step halves N until 4 does not divide it: 2-power
+    orders reach Q, 12, 24 and 48 reach 6 (a cyclic chain), 20 reaches 10
+    (cyclic) and 60 reaches 30 (C4 x C2).  For 4 not dividing N the
+    Itoh-Tsujii chain meets the cyclic groups of 2, 7, 13 and 17, and the
+    splittings C4 x C2 (15), C6 x C2 (21), C12 x C2 (35) and C12 x C2 x C2
+    (105): factor orders 2 to 16 and up to three factors."""
     y = sp.Symbol("y")
-    for order in (2, 4, 7, 12, 13, 15, 16, 17, 21, 24, 60):
+    for order in (2, 4, 7, 8, 12, 13, 15, 16, 17, 20, 21, 24, 32, 35, 48, 60, 64, 105):
         F = make_field(order)
         cyc = sp.Poly(sp.cyclotomic_poly(order, y), y, domain="QQ")
         rng = random.Random(23 + order)
         fractional = negative = False
-        for _ in range(8):
+        for _ in range(8 if F.degree <= 24 else 1):
             a = _rand_elem(F, rng, 7)
             if a.is_zero():
                 continue
             fractional |= a.den > 1
             negative |= min(a.num) < 0
-            pa = sp.Poly([sp.Rational(c) for c in reversed(a.coords)], y, domain="QQ")
-            got = sp.Poly([sp.Rational(c) for c in reversed(a.inverse().coords)], y,
-                          domain="QQ")
-            assert got == sp.invert(pa, cyc), (order, a)
-            assert a.inverse() == inverse_oracle(a), (order, a)
+            got = _sympy_poly(a.inverse().coords, y)
+            assert got == sp.invert(_sympy_poly(a.coords, y), cyc), (order, a)
+            if F.degree <= 24:
+                assert a.inverse() == inverse_oracle(a), (order, a)
         assert fractional and negative, order
         with pytest.raises(ZeroDivisionError):
             F.zero().inverse()
+
+    calls = {"_conjugate": 0, "_product": 0}
+    for name in calls:
+        def counting(self, *args, _name=name, _kernel=getattr(CyclotomicField, name)):
+            calls[_name] += 1
+            return _kernel(self, *args)
+        monkeypatch.setattr(CyclotomicField, name, counting)
+    rng = random.Random(29)
+    for order in (2, 4, 8, 16, 32, 64):  # the tower alone, down to Q
+        a = _rand_elem(make_field(order), rng, 7)
+        assert (a * a.inverse()).is_one()
+    assert calls["_conjugate"] == 0
+    calls["_product"] = 0
+    assert make_field(16).from_rational(Fraction(-3, 7)).inverse() == Fraction(-7, 3)
+    assert calls["_product"] == 0
 
 
 def test_unit_chain_covers_each_unit_once():

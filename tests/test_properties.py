@@ -1,7 +1,7 @@
-"""Property tests: field inverses, the affine invariance of the canonical
-invariant, the successor classes found modulo a split prime against the
-exact partition oracle, the witness search against the successor classes
-and against the Fraction oracle, the fiber certificate against the
+"""Property tests: field inverses and element contracts, the affine invariance
+of the canonical invariant, the successor classes found modulo a split prime
+against the exact partition oracle, the witness search against the successor
+classes and against the Fraction oracle, the fiber certificate against the
 derivative criterion, and the multiplicities of every witness modulo its
 good split prime, over generated elements, sets and maps (Hypothesis,
 derandomized)."""
@@ -12,7 +12,8 @@ from itertools import count
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import fiber_certificate_oracle, reduction_oracle_q, successor_oracle
+from helpers import (fiber_certificate_oracle, inverse_oracle, reduction_oracle_q,
+                     successor_oracle)
 from polyred import (FiniteSubset, LinearMap, Poly, canonical_invariant, find_reductions,
                      make_field, reduces, successors)
 from polyred.reduction import _divide_out, _fiber_certificate, _split_residues
@@ -40,6 +41,36 @@ def nonzero_elements(draw, orders):
 @given(nonzero_elements((3, 4, 5, 8, 12, 15, 16, 21)))
 def test_inverse_times_element_is_one(x):
     assert (x * x.inverse()).is_one()
+
+
+@st.composite
+def elements_and_rationals(draw):
+    field = make_field(draw(st.sampled_from((1, 2, 3, 4, 8, 12, 13, 16))))
+    x = draw(elements(field))
+    assume(not x.is_zero())
+    return x, draw(st.one_of(st.integers(-10 ** 20, 10 ** 20), rationals))
+
+
+@PROPERTY
+@given(elements_and_rationals())
+def test_element_contracts(case):
+    """== and hash agree across int, Fraction and the equal rational
+    element; encode parses back; the inverse is exact and equals the
+    one-by-one conjugate product."""
+    x, q = case
+    field = x.field
+    r = field.element([q])
+    values = [q, Fraction(q), field.from_rational(q)]
+    if Fraction(q).denominator == 1:
+        values.append(int(q))
+    for value in values:
+        assert r == value and value == r and hash(r) == hash(value)
+    assert (x == q) == (x.is_rational() and x.as_fraction() == q)
+    for y in (x, r):
+        assert field.element_from_encoding(y.encode()) == y
+    inverse = x.inverse()
+    assert x * inverse == 1
+    assert inverse == inverse_oracle(x)
 
 
 @st.composite

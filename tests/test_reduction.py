@@ -365,9 +365,11 @@ def test_successors_exact_product_count(F12, monkeypatch):
 def test_witness_search_inverts_once_per_survivor(F12, monkeypatch):
     """A = {0} U mu_6 onto {0, +-1}: gamma = 3 and the witnesses are +-X^3.
     Each surviving leaf builds its witness from one fiber's roots with one
-    exact inverse, so first_only makes 1 FieldElement.inverse call and the
-    full search 2 (6 each when the leaf was re-interpolated by exact divided
-    differences)."""
+    exact inverse.  Under both witnesses x_0 = -1 has the fiber
+    {-1, z^2, 1 - z^2} of simple roots, so both divide by the same
+    prod(x_1 - a), and first_only and the full search each make 1
+    FieldElement.inverse call (6 each when the leaf was re-interpolated by
+    exact divided differences)."""
     from polyred.field import FieldElement
     A = FiniteSubset(F12, [F12.zero(), *roots_of_unity(F12, 6)])
     B = _fs(F12, [0, 1, -1])
@@ -381,11 +383,27 @@ def test_witness_search_inverts_once_per_survivor(F12, monkeypatch):
     monkeypatch.setattr(FieldElement, "inverse", counting)
     for first_only, want_calls, want_polys in [
             (True, 1, [Poly(F12, [0, 0, 0, 1])]),
-            (False, 2, [Poly(F12, [0, 0, 0, -1]), Poly(F12, [0, 0, 0, 1])])]:
+            (False, 1, [Poly(F12, [0, 0, 0, -1]), Poly(F12, [0, 0, 0, 1])])]:
         calls[0] = 0
         found = find_reductions(A, B, first_only=first_only)
         assert [r.poly for r in found] == want_polys
         assert calls[0] == want_calls
+
+
+def test_stabilizer_inverts_the_leaf_divisor_once(F12, monkeypatch):
+    """The six rotations of mu_6 are six degree-1 leaves, and each divides by
+    the same x_1 - x_0, so the search makes 1 FieldElement.inverse call."""
+    from polyred.field import FieldElement
+    calls = [0]
+    inverse = FieldElement.inverse
+
+    def counting(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counting)
+    assert stabilizer(roots_of_unity(F12, 6)).order == 6
+    assert calls[0] == 1
 
 
 def test_successors_entries_verified(F12):
