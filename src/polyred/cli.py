@@ -35,7 +35,8 @@ from .vandermonde import build_enriched, exact_rank
 # Largest accepted cyclotomic order.  Building Q(zeta_N) is cheap (16 ms at
 # N = 512); the arithmetic grows.  On a 2-core Xeon, one inverse of an element
 # with coordinates in [-5, 5] takes 0.02 s at N = 512, four- to fivefold more
-# per doubling of N, and one square root there (predecessor) takes 18 s.
+# per doubling of N.  One square root there (predecessor) takes 6-9 s on the
+# first call, which builds the field's sqrt data, and 1.0-1.5 s after it.
 MAX_ORDER = 512
 
 # Largest M that `bounds M N` accepts.  The window holds about M/(N(N-1))

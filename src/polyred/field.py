@@ -18,9 +18,14 @@ integer vector P with v*P = n a nonzero integer, so 1/(v/den) = den*P/n.  P is
 P is the product of the conjugates sigma_k(v), k != 1, built over a cyclic
 splitting of (Z/N)^* by the doubling chain of Itoh and Tsujii.
 
-``sqrt`` is a decision procedure in integer arithmetic: it takes square roots
-modulo a prime, Hensel-lifts them past a proven coefficient bound and checks
-the candidates exactly, so ``None`` proves that the element is not a square.
+``sqrt`` is a decision procedure in integer arithmetic.  Modulo an odd prime
+p of maximal order f modulo N, the ring F_p[zeta] = Z[zeta]/p is a product of
+g = phi(N)/f copies of F_q, q = p^f, and sqrt works in that ring with the
+field's own product reduced mod p and its own adjugate for 1/B.  Euler's
+criterion gives the idempotents of the copies, and Tonelli-Shanks runs in the
+ring, correcting only the copies that need it.  The 2^(g-1) sign patterns of
+the root modulo p are Hensel-lifted past a proven coefficient bound and
+checked exactly, so ``None`` proves that the element is not a square.
 
 A prime p = 1 (mod N) splits completely in Q(zeta_N): for a primitive N-th
 root of unity w modulo p, zeta -> w is a ring map Z[zeta] -> F_p.
@@ -113,8 +118,8 @@ def make_field(order: int) -> "CyclotomicField":
 class CyclotomicField:
     """Q(zeta_N) with exact power-basis arithmetic modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "degree", "modulus", "_rows", "_constants", "_units", "_zeta",
-                 "_sqrt", "_split")
+    __slots__ = ("order", "degree", "modulus", "_rows", "_constants", "_zeta", "_sqrt",
+                 "_split")
 
     def __init__(self, order: int):
         if not isinstance(order, int) or isinstance(order, bool):
@@ -142,7 +147,6 @@ class CyclotomicField:
         # _constants[k] = constant coordinate of z^k, k = 0..2d-2: every
         # exponent of a product of two coordinate vectors
         self._constants = tuple(dict(rows[k % order]).get(0, 0) for k in range(2 * d - 1))
-        self._units = None  # _unit_chain(order), built by the first inverse
         self._zeta = self._make(tuple(dict(rows[1 % order]).get(i, 0) for i in range(d)), 1)
         self._sqrt = None  # _SqrtData, built by the first FieldElement.sqrt
         self._split = []  # _SplitPrime list, extended by split_prime
@@ -213,9 +217,7 @@ class CyclotomicField:
             lift = [0] * self.degree
             lift[0::2] = half
             return product(s, lift), norm
-        if self._units is None:
-            self._units = _unit_chain(n)
-        conjugate, chain = self._conjugate, self._units
+        conjugate, chain = self._conjugate, _unit_chain(n)
         prod, full = None, v
         for index, (g, m) in enumerate(chain):
             part, a = full, 1
@@ -312,76 +314,7 @@ def _fraction_hash(p: int, q: int) -> int:
     return -2 if h == -1 else h
 
 
-# -- square roots: polynomials over F_p and the per-field data -----------------
-# A polynomial over F_p is a list of residues, ascending, with no trailing
-# zero; [] is the zero polynomial.
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the nonzero b over F_p."""
-    r = [c % p for c in a]
-    db = len(b) - 1
-    lead_inv = pow(b[-1], -1, p)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db] * lead_inv % p
-        if c:
-            q[k] = c
-            for i, bi in enumerate(b):
-                r[k + i] = (r[k + i] - c * bi) % p
-    return _trim(q), _trim(r[:db])
-
-
-def _poly_mulmod(a, b, h, p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _poly_divmod(prod, h, p)[1]
-
-
-def _poly_powmod(a, e: int, h, p: int) -> list[int]:
-    result, base = [1], _poly_divmod(a, h, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, h, p)
-        e >>= 1
-        if e:
-            base = _poly_mulmod(base, base, h, p)
-    return result
-
-
-def _poly_gcd(a, b, p: int) -> list[int]:
-    """Monic gcd of a and b over F_p, not both zero."""
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    lead_inv = pow(a[-1], -1, p)
-    return [c * lead_inv % p for c in a]
-
-
-def _split_equal_degree(h, f: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Irreducible factors of the squarefree monic h over F_p (p odd), all of
-    degree f: Cantor-Zassenhaus, splitting by gcd(h, a^((p^f - 1)/2) - 1)."""
-    if len(h) - 1 == f:
-        return [h]
-    e = (p ** f - 1) // 2
-    while True:
-        a = _trim([rng.randrange(p) for _ in range(len(h) - 1)])
-        if len(a) < 2:
-            continue
-        u = _poly_powmod(a, e, h, p) or [0]
-        u[0] = (u[0] - 1) % p
-        g = _poly_gcd(h, _trim(u), p)
-        if 1 < len(g) < len(h):
-            return (_split_equal_degree(g, f, p, rng)
-                    + _split_equal_degree(_poly_divmod(h, g, p)[0], f, p, rng))
-
+# -- square roots: the ring F_p[zeta] and the per-field data -----------------
 
 def _multiplicative_order(k: int, n: int) -> int:
     e, x = 1, k % n
@@ -390,6 +323,7 @@ def _multiplicative_order(k: int, n: int) -> int:
     return e
 
 
+@lru_cache(maxsize=None)
 def _unit_chain(n: int) -> tuple[tuple[int, int], ...]:
     """Pairs (g_i, m_i) splitting (Z/N)^* into cyclic factors: with
     H_i = <g_1, ..., g_i>, m_i = [H_i : H_(i-1)] is the least m with g_i^m in
@@ -416,56 +350,62 @@ def _is_prime(p: int) -> bool:
 
 
 class _SqrtPrime:
-    """Phi_N modulo an odd prime p of order f modulo N, which splits it into
-    g = phi(N)/f irreducible factors h_i of degree f; F_q = F_p[x]/h_i with
-    q = p^f.  Holds the factors, the CRT idempotents e_i (e_i = 1 mod h_i,
-    0 mod the others) and, per factor, a generator of the 2-Sylow subgroup of
-    F_q^* for Tonelli-Shanks.  Random choices are seeded from p."""
+    """The ring F_p[zeta] = Z[zeta]/p for an odd prime p, p not dividing N, of
+    order f modulo N.  Phi_N is squarefree modulo p, because p does not divide
+    N, and its irreducible factors all have degree f, so by the CRT the ring
+    is a product of g = phi(N)/f copies of F_q, q = p^f.  Its product is the
+    field's _product reduced mod p.
 
-    __slots__ = ("p", "q", "modulus", "factors", "idempotents", "two_adic", "odd_part",
-                 "sylow")
+    For r in the ring, u = r^((q-1)/2) is 1, -1 or 0 in each copy, as r is a
+    nonzero square there, a non-square or zero, so (u^2 - u)/2 is the
+    idempotent of the copies where r is a non-square.  Random r, seeded from
+    p, refine {1} by these idempotents until it has g parts, which are then
+    the primitive idempotents e_i; no factor of Phi_N is computed.  Each part
+    keeps an r that is a non-square on all its copies, so z = sum e_i r_i is
+    a non-square in every copy and sylow = z^t, with q - 1 = 2^s t and t odd,
+    generates the 2-Sylow subgroup of F_q^* in every copy (Tonelli-Shanks)."""
 
-    def __init__(self, modulus: tuple[int, ...], p: int, f: int):
-        rng = random.Random(p)
-        phi = _trim([c % p for c in modulus])
-        self.p, self.q, self.modulus = p, p ** f, phi
-        self.factors = sorted(_split_equal_degree(phi, f, p, rng))
-        self.idempotents = []
-        for h in self.factors:
-            rest = _poly_divmod(phi, h, p)[0]
-            inv = _poly_powmod(rest, self.q - 2, h, p)
-            self.idempotents.append(_poly_mulmod(rest, inv, phi, p))
+    __slots__ = ("field", "p", "q", "idempotents", "two_adic", "odd_part", "sylow")
+
+    def __init__(self, field: "CyclotomicField", p: int, f: int):
+        self.field, self.p, self.q = field, p, p ** f
         s, t = 0, self.q - 1
         while not t & 1:
             s, t = s + 1, t >> 1
         self.two_adic, self.odd_part = s, t
-        self.sylow = []
-        for h in self.factors:
-            while True:
-                n = _trim([rng.randrange(p) for _ in range(f)])
-                if n and _poly_powmod(n, (self.q - 1) // 2, h, p) != [1]:
-                    break
-            self.sylow.append(_poly_powmod(n, t, h, p))
+        rng, d, half = random.Random(p), field.degree, (p + 1) // 2
+        parts = [([1] + [0] * (d - 1), None)]  # (idempotent, non-square on it)
+        while len(parts) < d // f or any(w is None for _, w in parts):
+            r = [rng.randrange(p) for _ in range(d)]
+            u = self.power(r, (self.q - 1) // 2)
+            split = [(a - b) * half % p for a, b in zip(self.mul(u, u), u)]
+            refined = []
+            for e, w in parts:
+                a = self.mul(e, split)
+                if a == e:
+                    refined.append((e, r if w is None else w))
+                elif any(a):
+                    refined += [(a, r), ([(c - v) % p for c, v in zip(e, a)], w)]
+                else:
+                    refined.append((e, w))
+            parts = refined
+        self.idempotents = [e for e, _ in parts]
+        z = [sum(c) % p for c in zip(*(self.mul(e, w) for e, w in parts))]
+        self.sylow = self.power(z, t)
 
-    def sqrt_mod(self, a, i: int):
-        """A square root of the nonzero a in F_p[x]/h_i, or None when a is a
-        non-residue there (Tonelli-Shanks; the first step is Euler's test)."""
-        h, p, m = self.factors[i], self.p, self.two_adic
-        c = self.sylow[i]
-        x = _poly_powmod(a, (self.odd_part + 1) // 2, h, p)
-        b = _poly_powmod(a, self.odd_part, h, p)
-        while b != [1]:
-            j, b2 = 0, b
-            while b2 != [1]:
-                b2, j = _poly_mulmod(b2, b2, h, p), j + 1
-                if j == m:
-                    return None
-            w = _poly_powmod(c, 1 << (m - j - 1), h, p)
-            x = _poly_mulmod(x, w, h, p)
-            c = _poly_mulmod(w, w, h, p)
-            b = _poly_mulmod(b, c, h, p)
-            m = j
-        return x
+    def mul(self, a, b) -> list[int]:
+        """The product of a and b in F_p[zeta]."""
+        p = self.p
+        return [c % p for c in self.field._product(a, b)]
+
+    def power(self, a, e: int) -> list[int]:
+        """a^e in F_p[zeta] for e >= 1, by left-to-right binary powering."""
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
 
 
 class _SqrtData:
@@ -475,11 +415,11 @@ class _SqrtData:
     __slots__ = ("field", "exponent", "bound", "primes")
 
     def __init__(self, field: "CyclotomicField"):
-        n = field.order
         self.field = field
-        # the exponent of (Z/N)^*: the largest order, attained by some unit
-        self.exponent = math.lcm(*(_multiplicative_order(k, n)
-                                   for k in range(1, n + 1) if math.gcd(k, n) == 1))
+        # the exponent of (Z/N)^*, its largest element order: the first
+        # relative order of the unit chain
+        chain = _unit_chain(field.order)
+        self.exponent = chain[0][1] if chain else 1
         # |Y_j| <= d * L1(Phi_N) * L1(1/Phi_N'(zeta)) * sqrt(L1(Y^2)); see sqrt
         phi = field.modulus
         w = field.element([i * c for i, c in enumerate(phi) if i]).inverse()
@@ -495,7 +435,7 @@ class _SqrtData:
             while not (n % p and _is_prime(p)
                        and _multiplicative_order(p, n) == self.exponent):
                 p += 2
-            self.primes.append(_SqrtPrime(self.field.modulus, p, self.exponent))
+            self.primes.append(_SqrtPrime(self.field, p, self.exponent))
         return self.primes[index]
 
 
@@ -737,14 +677,34 @@ class FieldElement:
         sqrt|sigma_k(B)| <= sqrt(L1(B)), bounds them:
         |Y_j| <= d * L1(Phi_N) * L1(1/Phi_N'(zeta)) * sqrt(L1(B)).
 
-        Modulo an odd prime p of maximal order modulo N, Phi_N has g factors
-        h_i.  If B is a non-residue modulo some h_i, it is not a square.
-        Otherwise the roots modulo the h_i, with the sign fixed at h_1, give
-        2^(g-1) candidates for 1/Y mod p.  Each is lifted by Newton's step
-        z <- z(3 - B z^2)/2 until p^k exceeds twice the bound, and Y = B z in
-        symmetric residues is accepted when it is within the bound and
-        Y*Y == B.  A root of B is, up to sign, one of these lifts, so when
-        none is accepted B is not a square.
+        Work in F_p[zeta], a product of g copies of F_q with primitive
+        idempotents e_i, for an odd prime p of maximal order modulo N
+        (_SqrtPrime).  _adjugate gives an integer vector P with B*P = n, a
+        nonzero integer.  When p does not divide n, a = P/n mod p satisfies
+        B*a = 1 in the ring, so B is a unit and a = 1/B; only the finitely
+        many p dividing n are skipped.
+
+        Tonelli-Shanks runs on a in the ring, with q - 1 = 2^s t, t odd:
+        x = a^((t+1)/2) and b = a^t = x^2 B keep x^2 = a*b.  Its first step
+        is Euler's test.  b^(2^(s-1)) = a^((q-1)/2) is +1 in the copies where
+        a is a square and -1 in the others, so it is 1 in the ring exactly
+        when a is a square in every copy.  Otherwise B has no square root
+        modulo p, so none in Z[zeta_N], and the answer is None.  Each later
+        step takes the least j with b^(2^j) = 1.  Then f = (1 - b^(2^(j-1)))/2
+        is the idempotent of the copies where b has order 2^j, and the usual
+        correction w = c^(2^(m-j-1)), from c = sylow and m = s at the start,
+        acts on those copies only, through r = 1 - f + f*w: x <- x*r,
+        b <- b*r^2, c <- w^2, m <- j.  The order of b drops in every copy, so
+        the loop ends at b = 1 and x^2 = a.
+
+        If Y^2 = B, then (1/Y)^2 = a modulo p.  In each copy F_q the unit a
+        has just the two roots +-x, so 1/Y = x * sum(+-e_i).  Fixing the sign
+        at e_1 picks 1/Y or -1/Y, and so leaves 2^(g-1) candidates.  Each is
+        lifted by Newton's step z <- z(3 - B z^2)/2 until p^k exceeds twice
+        the bound, and Y = B z in symmetric residues is accepted when it is
+        within the bound and Y*Y == B.  The lift of 1/Y mod p is unique, as p
+        is odd and B a unit, so a root of B is, up to sign, one of these
+        lifts, and when none is accepted B is not a square.
         """
         if self.is_zero():
             return self
@@ -753,20 +713,27 @@ class FieldElement:
             fld._sqrt = _SqrtData(fld)
         data = fld._sqrt
         B = [self.den * v for v in self.num]
+        P, n = fld._adjugate(B)
         index = 0
-        while True:  # B is a unit modulo every h_i at all but finitely many p
-            sp = data.prime(index)
-            p = sp.p
-            parts = [_poly_divmod(B, h, p)[1] for h in sp.factors]
-            if all(parts):
-                break
+        while n % data.prime(index).p == 0:
             index += 1
-        terms = []  # a root of 1/B modulo h_i, carried to Phi_N by e_i
-        for i, (part, h, e) in enumerate(zip(parts, sp.factors, sp.idempotents)):
-            r = sp.sqrt_mod(_poly_powmod(part, sp.q - 2, h, p), i)
-            if r is None:
-                return None
-            terms.append(_poly_mulmod(r, e, sp.modulus, p))
+        sp = data.prime(index)
+        p, mul, half = sp.p, sp.mul, (sp.p + 1) // 2
+        one, inverse = [1] + [0] * (fld.degree - 1), pow(n, -1, p)
+        a = [c * inverse % p for c in P]
+        x = sp.power(a, (sp.odd_part + 1) // 2)
+        b, c, m = mul(mul(x, x), B), sp.sylow, sp.two_adic
+        while b != one:
+            j, b2 = 0, b
+            while b2 != one:
+                last, b2, j = b2, mul(b2, b2), j + 1
+                if j == m:  # Euler's test: a is a non-square in some copy
+                    return None
+            f = [(o - v) * half % p for o, v in zip(one, last)]
+            w = sp.power(c, 1 << (m - j - 1))
+            r = [(o - e + v) % p for o, e, v in zip(one, f, mul(f, w))]
+            x, b, c, m = mul(x, r), mul(b, mul(r, r)), mul(w, w), j
+        terms = [mul(x, e) for e in sp.idempotents]
 
         l1 = sum(map(abs, B))
         root_l1 = math.isqrt(l1)

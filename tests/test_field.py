@@ -13,7 +13,8 @@ import sympy as sp
 
 import polyred
 from polyred import FieldMismatchError, make_field
-from polyred.field import CyclotomicField, FieldElement, _unit_chain
+from polyred.field import (CyclotomicField, FieldElement, _multiplicative_order, _SqrtData,
+                           _unit_chain)
 from helpers import inverse_oracle
 
 
@@ -356,12 +357,36 @@ def test_sqrt_decides_in_large_fields_within_budget():
     # d = 12 and more than 300 s at d = 16.
     rng = random.Random(97)
     start = time.perf_counter()
-    for n, c in ((13, 2), (32, 7)):
+    # Each c is a non-square by conductor (8 does not divide 13, 28 not 32
+    # nor 60, 8 not 105, 12 not 128); g = 4 at 60 and 105, g = 2 at 128.
+    for n, c in ((13, 2), (32, 7), (60, 7), (105, 2), (128, 3)):
         F = make_field(n)
         y = _rand_elem(F, rng, 5)
         assert (c * y * y).sqrt() is None
         assert (y * y).sqrt() in (y, -y)
     assert time.perf_counter() - start < 5.0
+
+
+def test_sqrt_prime_ring_data():
+    """F_p[zeta] at the first sqrt prime is g = phi(N)/f copies of F_q: there
+    are g idempotents, each nonzero and its own square, pairwise orthogonal
+    and summing to 1, and sylow^(2^(s-1)) = -1 in every copy."""
+    for n in (1, 3, 4, 8, 12, 13, 15, 16, 24, 60, 105, 120):
+        F = make_field(n)
+        data = _SqrtData(F)
+        units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        assert data.exponent == math.lcm(*(_multiplicative_order(k, n) for k in units))
+        ring = data.prime(0)
+        p, mul, es = ring.p, ring.mul, ring.idempotents
+        one = [1] + [0] * (F.degree - 1)
+        assert ring.q == p ** data.exponent == 2 ** ring.two_adic * ring.odd_part + 1
+        assert len(es) == F.degree // data.exponent, n
+        for i, e in enumerate(es):
+            assert any(e) and mul(e, e) == e, (n, i)
+            assert all(not any(mul(e, other)) for other in es[i + 1:]), (n, i)
+        assert [sum(c) % p for c in zip(*es)] == one, n
+        minus_one = [p - 1] + one[1:]
+        assert ring.power(ring.sylow, 1 << (ring.two_adic - 1)) == minus_one, n
 
 
 def test_import_loads_no_third_party_module():

@@ -1,10 +1,10 @@
-"""Property tests: field inverses and element contracts, the affine invariance
-of the canonical invariant, the successor classes found modulo a split prime
-against the exact partition oracle, the witness search against the successor
-classes and against the Fraction oracle, the fiber certificate against the
-derivative criterion, and the multiplicities of every witness modulo its
-good split prime, over generated elements, sets and maps (Hypothesis,
-derandomized)."""
+"""Property tests: field inverses, square roots and element contracts, the
+affine invariance of the canonical invariant, the successor classes found
+modulo a split prime against the exact partition oracle, the witness search
+against the successor classes and against the Fraction oracle, the fiber
+certificate against the derivative criterion, and the multiplicities of every
+witness modulo its good split prime, over generated elements, sets and maps
+(Hypothesis, derandomized)."""
 import json
 from fractions import Fraction
 from itertools import count
@@ -71,6 +71,17 @@ def test_element_contracts(case):
     inverse = x.inverse()
     assert x * inverse == 1
     assert inverse == inverse_oracle(x)
+
+
+@PROPERTY
+@given(nonzero_elements((3, 4, 5, 8, 12, 16, 24)))
+def test_sqrt_of_square_is_larger_root(x):
+    """sqrt(x^2) is max(x, -x); for even N, zeta * x^2 is not a square (a
+    root would make zeta a square, a primitive 2N-th root of unity)."""
+    field = x.field
+    assert (x * x).sqrt() == max(x, -x)
+    if field.order % 2 == 0:
+        assert (field.zeta() * x * x).sqrt() is None
 
 
 @st.composite
