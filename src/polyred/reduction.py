@@ -16,11 +16,13 @@ one fiber, and certify it.  _search_degree proves that no witness is lost
 and that P is the leaf's interpolant whenever either is a witness.  Equal
 cardinalities are the window {1}: linear_maps_between, equivalent,
 stabilizer and chi read the linear maps of A onto B off find_reductions.
+Onto a 2-set {b0, b1} the mirror X -> b0 + b1 - X halves the tree.
 
 successors enumerates the root data of a prospective witness (a support in A
-with multiplicities) instead of target sets.  Two tests modulo a split prime
-good for A, the degree window and the witness search's leaf test, run before
-any exact image is formed, and only a candidate of a new class is certified.
+with multiplicities) up to degree (m-1)/2.  Two tests modulo a split prime
+good for A run before any exact image is formed, and only a candidate of a
+new class is certified.  Above (m-1)/2 a witness search onto {0, 1} decides
+the one class those degrees can reach, the 2-sets.
 """
 from __future__ import annotations
 
@@ -220,6 +222,13 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     multiplicities e counted mod p, so N - b0 = c'*prod(X - a)^e, and
     evaluating at x_t gives c' = c: N = P.  So the outputs, and the
     certificates run, are those of certifying N at every surviving leaf.
+
+    Onto B = {b0, b1}, x_0 tries b0 only; without first_only each certified
+    P is followed by its mirror b0 + b1 - P, fibers swapped.  X -> b0 + b1 - X
+    swaps b0 and b1, so the mirror is a witness with P's fiber over b1 as its
+    fiber over b0 (no certificate needed), and every witness sending x_0 to b1
+    is the mirror of one found.  Under first_only the witness is the full
+    tree's first, which sends x_0 to b0 whenever any witness exists.
     """
     field = A.field
     xs, targets = A.elems, B.elems
@@ -277,9 +286,13 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
             fibers = _fiber_certificate(P, A, B)
             if fibers is not None:
                 out.append(Reduction(P, A, B, gamma, fibers))
+                if nb == 2 and not first_only:  # the mirror b0 + b1 - P
+                    (b0, pre0), (b1, pre1) = fibers
+                    out.append(Reduction(Poly(field, [b0 + b1]) - P, A, B, gamma,
+                                         ((b0, pre1), (b1, pre0))))
             return
         row = invd[depth]
-        for j, v in enumerate(br):
+        for j, v in enumerate(br if depth or nb != 2 else br[:1]):
             if counts[j] >= gamma:
                 continue  # a fiber of more than gamma elements
             ndd = [v]
@@ -413,6 +426,26 @@ class SuccessorClass:
     trivial: bool
 
 
+def _successor_candidate(A: FiniteSubset, gamma: int, roots: list, out: dict) -> None:
+    """Certify c*base onto c*W, c = 1/base(x_j), base = prod(X - x_i)^e_i over
+    roots = pairs (i, e), unless W = {0} U images has a class already in out."""
+    field, xs = A.field, A.elems
+    support = {i for i, _ in roots}
+    values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
+              for t in range(len(xs)) if t not in support]
+    W = FiniteSubset(field, {field.zero(), *values})
+    inv = canonical_invariant(W)
+    key = inv.key()
+    if key in out:
+        return
+    c = values[0].inverse()
+    P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
+    B = FiniteSubset(field, [c * w for w in W.elems])
+    fibers = _fiber_certificate(P, A, B)
+    if fibers is not None:
+        out[key] = SuccessorClass(inv, Reduction(P, A, B, gamma, fibers), False)
+
+
 def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     """The complete finite set of classes reachable from A.
 
@@ -422,7 +455,7 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     (other normalizations rescale the image linearly and cannot add classes).
     The image of each x_t outside I is the product of the difference powers
     (x_t - x_i)^e_i, so a candidate needs no polynomial to be tested.  Each
-    candidate through gamma = m-1 (or max_degree) meets, in this order: the
+    candidate through gamma = (m-1)/2 (or max_degree) meets, in this order: the
     degree window and the fiber test modulo a split prime q, its exact
     images, the dedup by canonical invariant of W = {0} U images, and the
     exact preimage certificate; [A] and the singleton class are appended as
@@ -453,40 +486,39 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     that merge or multiplicities that rise mod q can only let a candidate
     through to the certificate, never reject a witness.
 
-    The certificate decides the rest: the exact window and a fiber cap of
-    gamma elements follow from it, so neither is run.  The class key is a
-    function of W alone, so a candidate whose key is already found cannot
-    change the result and skips the certificate; a new key enters only
-    once certified.  The witness c*base, with c = 1/base(x_j), is built
-    and certified directly onto c*W, an affine image of W with the same key.
+    The certificate (_successor_candidate) decides the rest: the exact
+    window and a fiber cap of gamma elements follow from it, so neither is run.
+
+    Above (m-1)/2 the window allows n = 2 only (images are nonzero), so only
+    the 2-set class can be added.  While it is missing, _search_degree onto
+    {0, 1} runs at A's residues mod q for each gamma up to the top, until one
+    has a witness.  A candidate (I, e) certifies with |W| = 2 exactly when it
+    is a fiber of a degree-gamma reduction R onto {0, 1}: its witness c*base
+    is such an R with 0-fiber (I, e); an R with 0-fiber (I, e) is c'*base
+    with R(x_j) = 1, so c' = c; R's 1-fiber is the 0-fiber of 1 - R.  The
+    least (|I|, I, e) over those fibers is what the loop would certify first.
     """
     m = len(A)
     if m < 2:
         raise ValueError("successor enumeration needs at least 2 elements")
     if max_degree is not None and (type(max_degree) is not int or max_degree < 1):
         raise ValueError(f"max_degree must be an int >= 1, got {max_degree!r}")
-    field = A.field
-    xs = A.elems
     out: dict[str, SuccessorClass] = {}
     self_inv = canonical_invariant(A)
     out[self_inv.key()] = SuccessorClass(self_inv, None, True)
     sigma1 = ClassInvariant(1, ())
     out[sigma1.key()] = SuccessorClass(sigma1, None, True)
     top = m - 1 if max_degree is None else min(m - 1, max_degree)
-    zero = field.zero()
+    half = min(top, (m - 1) // 2)  # above it every candidate's W is a 2-set
     q, xr, _ = _split_residues(A, A)
     # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
-    rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, top + 1)]
+    rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, half + 1)]
            for i in range(m)] for t in range(m)]
-    for gamma in range(2, top + 1):
+    for gamma in range(2, half + 1):
         max_n = 1 + (m - 1) // gamma
         for size in range(1, min(gamma, m - 1) + 1):
             for I in combinations(range(m), size):
-                in_support = set(I)
-                others = [j for j in range(m) if j not in in_support]
-                # The witness sends j = others[0] to 1 (c = 1/base(x_j)); the
-                # choice of j only rescales the image, so one representative
-                # per support suffices for classes.
+                others = [j for j in range(m) if j not in I]
                 for mults in compositions(gamma, size):
                     roots = list(zip(I, mults))
                     residues = []  # image residues, in others order
@@ -508,20 +540,18 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                         fibers_q.setdefault(r, []).append(xr[t])
                     if _fibers_full_mod_p(base_q, fibers_q.items(), q) is None:
                         continue  # the exact certificate would fail too
-                    values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
-                              for t in others]
-                    W = FiniteSubset(field, {zero, *values})
-                    inv = canonical_invariant(W)
-                    key = inv.key()
-                    if key in out:
-                        continue
-                    c = values[0].inverse()
-                    P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
-                    B = FiniteSubset(field, [c * w for w in W.elems])
-                    fibers = _fiber_certificate(P, A, B)
-                    if fibers is not None:
-                        out[key] = SuccessorClass(
-                            inv, Reduction(P, A, B, gamma, fibers), False)
+                    _successor_candidate(A, gamma, roots, out)
+    if ClassInvariant(2, ()).key() not in out:
+        pair = FiniteSubset(A.field, [0, 1])
+        for gamma in range(half + 1, top + 1):
+            found: list[Reduction] = []
+            _search_degree(A, pair, gamma, found, False, (q, xr, [0, 1]))
+            if found:
+                _, I, mults = min((len(pre), [A.elems.index(a) for a, _ in pre],
+                                   [e for _, e in pre])
+                                  for r in found for _, pre in r.fibers)
+                _successor_candidate(A, gamma, list(zip(I, mults)), out)
+                break
     return sorted(out.values(), key=lambda sc: (sc.invariant.n, sc.invariant.key()))
 
 

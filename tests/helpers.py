@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's search strategies: the
 reduction oracle enumerates raw value assignments and interpolates with
 Fractions over Q, the successor oracle enumerates set partitions with
-multiplicity vectors, the linear-map oracle tries the n(n-1) maps that
+multiplicity vectors, the successor candidate oracle runs the candidate
+loop at every degree, the linear-map oracle tries the n(n-1) maps that
 send the two least source elements to an ordered pair of targets, the
 inverse oracle multiplies all phi(N) - 1 Galois conjugates one by one, and
 the invariant oracle takes the minimum over every full lambda-tuple, and
@@ -316,3 +317,80 @@ def fiber_certificate_oracle(P, A, B):
     if any(sum(e for _, e in pre) != len(coeffs) - 1 for pre in fibers.values()):
         return None
     return tuple((b, tuple(fibers[b])) for b in B)
+
+
+def successors_candidate_oracle(A, max_degree=None):
+    """successors(A, max_degree) by the candidate loop over every degree.
+
+    The same output as successors, the same candidate order and the same
+    mod-q tests, but every gamma through m - 1 (or max_degree) runs the loop,
+    so the 2-set class comes from the first certified candidate with
+    |W| = 2 instead of from a witness search onto {0, 1}.  Exponential in
+    |A|: keep m <= 9.
+    """
+    from functools import reduce
+    from operator import mul
+
+    from polyred import ClassInvariant, canonical_invariant
+    from polyred.reduction import (Reduction, SuccessorClass, _fiber_certificate,
+                                   _fibers_full_mod_p, _split_residues)
+
+    m = len(A)
+    field = A.field
+    xs = A.elems
+    out: dict[str, SuccessorClass] = {}
+    self_inv = canonical_invariant(A)
+    out[self_inv.key()] = SuccessorClass(self_inv, None, True)
+    sigma1 = ClassInvariant(1, ())
+    out[sigma1.key()] = SuccessorClass(sigma1, None, True)
+    top = m - 1 if max_degree is None else min(m - 1, max_degree)
+    zero = field.zero()
+    q, xr, _ = _split_residues(A, A)
+    # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
+    rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, top + 1)]
+           for i in range(m)] for t in range(m)]
+    for gamma in range(2, top + 1):
+        max_n = 1 + (m - 1) // gamma
+        for size in range(1, min(gamma, m - 1) + 1):
+            for I in combinations(range(m), size):
+                in_support = set(I)
+                others = [j for j in range(m) if j not in in_support]
+                # The witness sends j = others[0] to 1 (c = 1/base(x_j)); the
+                # choice of j only rescales the image, so one representative
+                # per support suffices for classes.
+                for mults in compositions(gamma, size):
+                    roots = list(zip(I, mults))
+                    residues = []  # image residues, in others order
+                    for t in others:
+                        row = rp[t]
+                        r = 1
+                        for i, e in roots:
+                            r = r * row[i][e - 1] % q
+                        residues.append(r)
+                    if len(set(residues)) + 1 > max_n:
+                        continue  # the exact images are at least as many
+                    base_q = [1]  # base mod q, ascending
+                    for i, e in roots:
+                        for _ in range(e):  # times X - x_i
+                            base_q = [(lo - xr[i] * hi) % q for lo, hi
+                                      in zip([0, *base_q], [*base_q, 0])]
+                    fibers_q = {}
+                    for t, r in zip(others, residues):
+                        fibers_q.setdefault(r, []).append(xr[t])
+                    if _fibers_full_mod_p(base_q, fibers_q.items(), q) is None:
+                        continue  # the exact certificate would fail too
+                    values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
+                              for t in others]
+                    W = FiniteSubset(field, {zero, *values})
+                    inv = canonical_invariant(W)
+                    key = inv.key()
+                    if key in out:
+                        continue
+                    c = values[0].inverse()
+                    P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
+                    B = FiniteSubset(field, [c * w for w in W.elems])
+                    fibers = _fiber_certificate(P, A, B)
+                    if fibers is not None:
+                        out[key] = SuccessorClass(
+                            inv, Reduction(P, A, B, gamma, fibers), False)
+    return sorted(out.values(), key=lambda sc: (sc.invariant.n, sc.invariant.key()))

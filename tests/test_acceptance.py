@@ -1,4 +1,4 @@
-"""Acceptance suite: ten end-to-end criteria with pinned time budgets.
+"""Acceptance suite: eleven end-to-end criteria with pinned time budgets.
 
 Each criterion is one test; a wrapper times it, enforces the budget, and
 records a single PASS/FAIL line that conftest prints after the run.  All
@@ -11,8 +11,8 @@ import time
 from fractions import Fraction
 
 import conftest
-from helpers import (rand_element, rand_enriched_shape, rand_linear_map, rand_rational_set,
-                     successor_oracle)
+from helpers import (fiber_certificate_oracle, rand_element, rand_enriched_shape,
+                     rand_linear_map, rand_rational_set, successor_oracle)
 from polyred import (
     FiniteSubset,
     build_enriched,
@@ -308,3 +308,27 @@ def test_criterion_10_successors():
         assert got <= oracle, "enumeration returned a class the oracle rejects"
         total_nontrivial += len(got)
     assert total_nontrivial > 0, "sample exercised no nontrivial successor"
+
+
+# Nontrivial class keys of successors on these sets, as the candidate loop at
+# every degree returns them (9.3, 8.6 and 171 s on a 2-core machine).
+_PROG12_KEYS = ['{"lambdas":[["-14/1","0/1"],["-9/1","0/1"],["-5/1","0/1"],'
+                '["-2/1","0/1"]],"n":6}']
+_PROG14_KEYS = ['{"lambdas":[["-20/1","0/1"],["-14/1","0/1"],["-9/1","0/1"],'
+                '["-5/1","0/1"],["-2/1","0/1"]],"n":7}']
+
+
+@criterion(11, 10.0, "successors at m = 12 and 14 (progressions, a random rational set)")
+def test_criterion_11_successors_at_scale():
+    F = make_field(4)
+    for A, want in [(_fs(F, range(12)), _PROG12_KEYS),
+                    (rand_rational_set(F, random.Random(12), 12), []),
+                    (_fs(F, range(14)), _PROG14_KEYS)]:
+        res = successors(A)
+        assert [sc.invariant.key() for sc in res if sc.trivial] == [
+            '{"lambdas":[],"n":1}', canonical_invariant(A).key()]
+        assert [sc.invariant.key() for sc in res if not sc.trivial] == want
+        for sc in res:
+            if not sc.trivial:
+                r = sc.witness
+                assert r.fibers == fiber_certificate_oracle(r.poly, A, r.target)

@@ -265,3 +265,98 @@ def test_witness_multiplicities_hold_mod_good_prime(pair):
                 q = _divide_out(q, sp.residue(a), p)
                 assert size - len(q) == e
             assert len(q) == 1
+
+
+@st.composite
+def affine_maps(draw, field):
+    small = elements(field, st.integers(-2, 2))
+    slope = draw(small.filter(lambda x: not x.is_zero()))
+    return LinearMap(slope, draw(small))
+
+
+@st.composite
+def sources(draw):
+    """A set of 3 to 7 elements over Q(zeta_4) or Q(zeta_12) that often
+    reaches small sets: (s + r1*mu_k) U (s + r2*mu_k), optionally with s, for
+    k | N (so (X - s)^k sends it onto 2 or 3 values), a rational set
+    symmetric about a centre c (so (X - c)^2 halves it), or a random
+    rational set."""
+    field = make_field(draw(st.sampled_from((4, 12))))
+    kind = draw(st.sampled_from(("circles", "symmetric", "random")))
+    if kind == "circles":
+        k = draw(st.sampled_from([d for d in (2, 3, 4, 6) if field.order % d == 0]))
+        s = draw(rationals_small)
+        radii = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6 // k,
+                              unique=True))
+        zeta = field.zeta(field.order // k)
+        vals = [s + r * zeta ** j for r in radii for j in range(k)]
+        if len(radii) == 1 or draw(st.booleans()):
+            vals.append(field.from_rational(s))
+    elif kind == "symmetric":
+        c = draw(rationals_small)
+        widths = draw(st.lists(st.builds(Fraction, st.integers(1, 4), st.integers(1, 2)),
+                               min_size=1, max_size=3, unique=True))
+        vals = [c + sign * a for a in widths for sign in (1, -1)]
+        if len(widths) == 1 or draw(st.booleans()):
+            vals.append(c)
+    else:
+        vals = draw(st.lists(rationals_small, min_size=3, max_size=7, unique=True))
+    return FiniteSubset(field, vals)
+
+
+@st.composite
+def pairs_onto_2_sets(draw):
+    """(A, B) with |B| = 2: B planted as the image of A under a successor
+    witness onto two values, mapped by a random affine map, or a random
+    rational 2-set, onto which A reduces only by chance."""
+    A = draw(sources())
+    targets = [sc.witness.target for sc in successors(A)
+               if not sc.trivial and sc.invariant.n == 2]
+    if targets and draw(st.booleans()):
+        return A, targets[0].map(draw(affine_maps(A.field)))
+    return A, FiniteSubset(A.field, draw(st.lists(rationals_small, min_size=2, max_size=2,
+                                                  unique=True)))
+
+
+@PROPERTY
+@given(pairs_onto_2_sets())
+def test_witnesses_onto_2_sets_are_mirror_closed(pair):
+    """The mirror X -> b0 + b1 - X fixes B = {b0, b1} and swaps its points, so
+    the witnesses onto B are closed under P -> b0 + b1 - P with the two
+    fibers swapped; each is certified by the derivative criterion, and
+    first_only returns one of them, alone, exactly when there is one."""
+    A, B = pair
+    b0, b1 = B.elems
+    full = find_reductions(A, B)
+    for r in full:
+        assert r.fibers == fiber_certificate_oracle(r.poly, A, B)
+        (_, pre0), (_, pre1) = r.fibers
+        mirror = (Poly(A.field, [b0 + b1]) - r.poly, ((b0, pre1), (b1, pre0)))
+        assert mirror in [(s.poly, s.fibers) for s in full]
+    first = find_reductions(A, B, first_only=True)
+    assert len(first) == (1 if full else 0)
+    assert all(r in full for r in first)
+
+
+@st.composite
+def pairs_up_to_4(draw):
+    """(A, B) with 2 <= |B| <= min(4, |A|): the target of a successor witness
+    of A or a random rational set."""
+    A = draw(sources())
+    targets = [sc.witness.target for sc in successors(A)
+               if not sc.trivial and 2 <= sc.invariant.n <= 4]
+    if targets and draw(st.booleans()):
+        return A, draw(st.sampled_from(targets))
+    return A, FiniteSubset(A.field, draw(st.lists(
+        rationals_small, min_size=2, max_size=min(4, len(A)), unique=True)))
+
+
+@PROPERTY
+@given(pairs_up_to_4(), st.data())
+def test_preorder_is_affine_invariant(pair, data):
+    """A <= B exactly when f(A) <= g(B), for affine bijections f and g: if P
+    witnesses A <= B, then g o P o f^-1 witnesses f(A) <= g(B)."""
+    A, B = pair
+    f = data.draw(affine_maps(A.field))
+    g = data.draw(affine_maps(A.field))
+    assert reduces(A, B) == reduces(A.map(f), B.map(g))

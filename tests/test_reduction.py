@@ -1,4 +1,5 @@
 """Reducibility: degree windows, certificates, searches, successors."""
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, count
@@ -28,8 +29,8 @@ from polyred import (
 )
 from polyred.reduction import (_fiber_certificate, _fibers_full_mod_p, _split_residues,
                               compositions)
-from helpers import (rand_irrational_map, rand_linear_map, rand_rational_set,
-                     reduction_oracle_q, successor_oracle)
+from helpers import (rand_element, rand_irrational_map, rand_linear_map, rand_rational_set,
+                     reduction_oracle_q, successor_oracle, successors_candidate_oracle)
 
 
 def _fs(F, vals):
@@ -508,8 +509,9 @@ def _certificate_outcomes(monkeypatch, A):
 def test_successor_collision_caught_only_by_the_certificate(F4, F12, monkeypatch):
     """With q0 the first split prime, q0 is good for A = {0, 1, 2, q0 - 1}.
     X(X - 1) sends 2 and q0 - 1 to the distinct images 2 and (q0-1)(q0-2),
-    which agree mod q0: the candidate passes the window and the fiber test
-    mod q0, and only the exact certificate rejects it."""
+    which agree mod q0: at gamma = 2 > (m-1)/2 the witness search onto
+    {0, 1} reaches X(X - 1)/2 as a leaf that passes every test mod q0, and
+    only the exact certificate rejects it."""
     for F in (F4, F12):
         sp = F.split_prime(0)
         q0 = sp.p
@@ -542,6 +544,43 @@ def test_successors_certify_each_class_once(F12, monkeypatch):
     certificate)."""
     keys, outcomes = _certificate_outcomes(monkeypatch, _fs(F12, range(-3, 4)))
     assert all(outcomes) and len(outcomes) == len(keys)
+
+
+def _successor_dump(res):
+    return json.dumps([(sc.invariant.key(), sc.trivial,
+                        sc.witness and sc.witness.to_json_obj()) for sc in res])
+
+
+def test_successors_match_candidate_oracle(F4, F8, F12):
+    """successors equals, byte for byte (keys, trivial flags, witnesses), the
+    candidate loop run at every degree: above (m-1)/2 the one witness search
+    onto {0, 1} picks the candidate the loop certifies first.  Progressions,
+    {0, +-1, ..., +-k}, mu_d and mu_d U {0}, random rational and
+    small-coordinate sets, uncapped and at max_degree 3; some of them get the
+    2-set class only from that search."""
+    rng = random.Random(1919)
+    cases = [_fs(F4, range(m)) for m in range(3, 10)]
+    cases += [_fs(F4, [0, *range(-k, 0), *range(1, k + 1)]) for k in range(1, 5)]
+    for F in (F4, F8, F12):
+        for d in range(2, 9):
+            if F.order % d == 0:
+                mu = roots_of_unity(F, d)
+                cases += [mu, FiniteSubset(F, [F.zero(), *mu])]
+    for F in (F4, F12):
+        for _ in range(3):
+            cases.append(rand_rational_set(F, rng, rng.randint(3, 8), span=4, den=2))
+            cases.append(FiniteSubset(F, {rand_element(F, rng, span=1)
+                                          for _ in range(rng.randint(3, 8))}))
+    by_search = 0
+    for A in cases:
+        m = len(A)
+        for cap in (None, 3):
+            got = successors(A, cap)
+            want = successors_candidate_oracle(A, cap)
+            assert _successor_dump(got) == _successor_dump(want)
+            by_search += any(sc.invariant.n == 2 and not sc.trivial
+                             and sc.witness.gamma > (m - 1) // 2 for sc in got)
+    assert by_search
 
 
 # Class keys the exhaustive enumeration (Poly.from_roots, Horner and the
