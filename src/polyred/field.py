@@ -49,7 +49,6 @@ import itertools
 import math
 import random
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from operator import mul
@@ -302,16 +301,6 @@ def _check_same_field(a, b):
     if a.field.order != b.field.order:
         raise FieldMismatchError(
             f"mixed fields Q(zeta_{a.field.order}) and Q(zeta_{b.field.order})")
-
-
-def _fraction_hash(p: int, q: int) -> int:
-    """hash(Fraction(p, q)) for coprime p and q > 1, without building the Fraction."""
-    try:
-        h = hash(hash(abs(p)) * pow(q, -1, sys.hash_info.modulus))
-    except ValueError:  # q is a multiple of the hash modulus
-        h = sys.hash_info.inf
-    h = h if p >= 0 else -h
-    return -2 if h == -1 else h
 
 
 # -- square roots: the ring F_p[zeta] and the per-field data -----------------
@@ -640,14 +629,14 @@ class FieldElement:
 
     def __hash__(self):
         # A rational element equals its int or Fraction value, so it takes
-        # that value's hash (the formula of Python's numeric hash).
+        # that value's hash.
         if self._hash is None:
             if not self.is_rational():
                 self._hash = hash((self.field.order, self.num, self.den))
             elif self.den == 1:
                 self._hash = hash(self.num[0])
             else:
-                self._hash = _fraction_hash(self.num[0], self.den)
+                self._hash = hash(Fraction(self.num[0], self.den))
         return self._hash
 
     def __bool__(self):

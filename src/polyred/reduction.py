@@ -19,10 +19,10 @@ stabilizer and chi read the linear maps of A onto B off find_reductions.
 Onto a 2-set {b0, b1} the mirror X -> b0 + b1 - X halves the tree.
 
 successors enumerates the root data of a prospective witness (a support in A
-with multiplicities) up to degree (m-1)/2.  Two tests modulo a split prime
-good for A run before any exact image is formed, and only a candidate of a
-new class is certified.  Above (m-1)/2 a witness search onto {0, 1} decides
-the one class those degrees can reach, the 2-sets.
+with multiplicities) up to degree (m-1)/2, which forces n >= 3.  Two tests
+modulo a split prime good for A run before any exact image is formed, and
+only a candidate of a new class is certified.  The 2-sets need gamma >= m/2:
+there a witness search onto {0, 1} certifies the class's witness itself.
 """
 from __future__ import annotations
 
@@ -178,9 +178,9 @@ def _fibers_full_mod_p(poly: list, fibers, p: int):
     return out
 
 
-def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
-                   first_only: bool, residues) -> None:
-    """Append every degree-gamma reduction from A onto B to out, in tree order.
+def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
+                   first_only: bool, residues) -> list:
+    """Every degree-gamma reduction from A onto B, in tree order, as a list.
 
     rec assigns targets to the first gamma+1 elements of A, at most gamma to
     each target, carrying divided differences modulo the good split prime p
@@ -242,6 +242,7 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
     counts = [0] * nb
     path = []  # target index of each free element
     inverses = {}  # 1/prod(x_t - a)^e by (t, fiber indices, multiplicities)
+    out = []
 
     def rec(depth: int, dd: list, coeffs: list) -> None:
         if first_only and out:
@@ -307,6 +308,7 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int, out: list,
             counts[j] -= 1
 
     rec(0, [], [])
+    return out
 
 
 def find_reductions(A: FiniteSubset, B: FiniteSubset,
@@ -324,7 +326,7 @@ def find_reductions(A: FiniteSubset, B: FiniteSubset,
     out: list[Reduction] = []
     residues = _split_residues(A, B) if gammas else None
     for gamma in gammas:
-        _search_degree(A, B, gamma, out, first_only, residues)
+        out += _search_degree(A, B, gamma, first_only, residues)
         if first_only and out:
             break
     out.sort(key=lambda r: (r.gamma, r.poly.coeffs))
@@ -408,12 +410,7 @@ def compositions(total: int, parts: int):
             yield ()
         return
     for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        seg = []
-        for c in list(cuts) + [total]:
-            seg.append(c - prev)
-            prev = c
-        yield tuple(seg)
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 @dataclass(frozen=True)
@@ -424,26 +421,6 @@ class SuccessorClass:
     invariant: ClassInvariant
     witness: Reduction | None
     trivial: bool
-
-
-def _successor_candidate(A: FiniteSubset, gamma: int, roots: list, out: dict) -> None:
-    """Certify c*base onto c*W, c = 1/base(x_j), base = prod(X - x_i)^e_i over
-    roots = pairs (i, e), unless W = {0} U images has a class already in out."""
-    field, xs = A.field, A.elems
-    support = {i for i, _ in roots}
-    values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
-              for t in range(len(xs)) if t not in support]
-    W = FiniteSubset(field, {field.zero(), *values})
-    inv = canonical_invariant(W)
-    key = inv.key()
-    if key in out:
-        return
-    c = values[0].inverse()
-    P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
-    B = FiniteSubset(field, [c * w for w in W.elems])
-    fibers = _fiber_certificate(P, A, B)
-    if fibers is not None:
-        out[key] = SuccessorClass(inv, Reduction(P, A, B, gamma, fibers), False)
 
 
 def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
@@ -486,17 +463,20 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     that merge or multiplicities that rise mod q can only let a candidate
     through to the certificate, never reject a witness.
 
-    The certificate (_successor_candidate) decides the rest: the exact
-    window and a fiber cap of gamma elements follow from it, so neither is run.
+    The certificate decides the rest: the exact window and a fiber cap of
+    gamma elements follow from it, so neither is run.
 
-    Above (m-1)/2 the window allows n = 2 only (images are nonzero), so only
-    the 2-set class can be added.  While it is missing, _search_degree onto
-    {0, 1} runs at A's residues mod q for each gamma up to the top, until one
-    has a witness.  A candidate (I, e) certifies with |W| = 2 exactly when it
+    The window splits the classes between two routes: gamma <= (m-1)/2
+    forces n >= 3, and n = 2 needs gamma >= m/2 (images are nonzero).  For
+    m > 2, _search_degree onto {0, 1} runs at A's residues mod q for each
+    gamma above (m-1)/2 up to the top, until one returns witnesses (each with
+    its mirror).  A candidate (I, e) certifies with |W| = 2 exactly when it
     is a fiber of a degree-gamma reduction R onto {0, 1}: its witness c*base
     is such an R with 0-fiber (I, e); an R with 0-fiber (I, e) is c'*base
-    with R(x_j) = 1, so c' = c; R's 1-fiber is the 0-fiber of 1 - R.  The
-    least (|I|, I, e) over those fibers is what the loop would certify first.
+    with R(x_j) = 1, so c' = c; R's 1-fiber is the 0-fiber of 1 - R.  So the
+    R whose 0-fiber has the least (|I|, I, e) is the loop's first witness,
+    and the search's certified R is stored as it is (A is sorted, so its
+    elements order the supports I as their indices do).
     """
     m = len(A)
     if m < 2:
@@ -508,6 +488,7 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     out[self_inv.key()] = SuccessorClass(self_inv, None, True)
     sigma1 = ClassInvariant(1, ())
     out[sigma1.key()] = SuccessorClass(sigma1, None, True)
+    field, xs = A.field, A.elems
     top = m - 1 if max_degree is None else min(m - 1, max_degree)
     half = min(top, (m - 1) // 2)  # above it every candidate's W is a 2-set
     q, xr, _ = _split_residues(A, A)
@@ -516,7 +497,7 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
            for i in range(m)] for t in range(m)]
     for gamma in range(2, half + 1):
         max_n = 1 + (m - 1) // gamma
-        for size in range(1, min(gamma, m - 1) + 1):
+        for size in range(1, gamma + 1):
             for I in combinations(range(m), size):
                 others = [j for j in range(m) if j not in I]
                 for mults in compositions(gamma, size):
@@ -540,17 +521,33 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                         fibers_q.setdefault(r, []).append(xr[t])
                     if _fibers_full_mod_p(base_q, fibers_q.items(), q) is None:
                         continue  # the exact certificate would fail too
-                    _successor_candidate(A, gamma, roots, out)
-    if ClassInvariant(2, ()).key() not in out:
-        pair = FiniteSubset(A.field, [0, 1])
+                    # c*base onto c*W, c = 1/base(x_j), unless W's class is in out
+                    values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
+                              for t in others]
+                    W = FiniteSubset(field, {field.zero(), *values})
+                    inv = canonical_invariant(W)
+                    key = inv.key()
+                    if key in out:
+                        continue
+                    c = values[0].inverse()
+                    P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
+                    B = FiniteSubset(field, [c * w for w in W.elems])
+                    fibers = _fiber_certificate(P, A, B)
+                    if fibers is not None:
+                        witness = Reduction(P, A, B, gamma, fibers)
+                        out[key] = SuccessorClass(inv, witness, False)
+    if m > 2:  # for m = 2 the 2-set class is [A]
+        pair = FiniteSubset(field, [0, 1])
+
+        def zero_fiber(r):  # (|I|, I, e) of r's fiber over 0, in A's order
+            pre = r.fibers[0][1]
+            return len(pre), [a for a, _ in pre], [e for _, e in pre]
+
         for gamma in range(half + 1, top + 1):
-            found: list[Reduction] = []
-            _search_degree(A, pair, gamma, found, False, (q, xr, [0, 1]))
+            found = _search_degree(A, pair, gamma, False, (q, xr, [0, 1]))
             if found:
-                _, I, mults = min((len(pre), [A.elems.index(a) for a, _ in pre],
-                                   [e for _, e in pre])
-                                  for r in found for _, pre in r.fibers)
-                _successor_candidate(A, gamma, list(zip(I, mults)), out)
+                two = ClassInvariant(2, ())
+                out[two.key()] = SuccessorClass(two, min(found, key=zero_fiber), False)
                 break
     return sorted(out.values(), key=lambda sc: (sc.invariant.n, sc.invariant.key()))
 

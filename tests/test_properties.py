@@ -3,8 +3,8 @@ affine invariance of the canonical invariant, the successor classes found
 modulo a split prime against the exact partition oracle, the witness search
 against the successor classes and against the Fraction oracle, the fiber
 certificate against the derivative criterion, and the multiplicities of every
-witness modulo its good split prime, over generated elements, sets and maps
-(Hypothesis, derandomized)."""
+witness modulo its good split prime, and the composition of successor
+witnesses, over generated elements, sets and maps (Hypothesis, derandomized)."""
 import json
 from fractions import Fraction
 from itertools import count
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from helpers import (fiber_certificate_oracle, inverse_oracle, reduction_oracle_q,
                      successor_oracle)
-from polyred import (FiniteSubset, LinearMap, Poly, canonical_invariant, find_reductions,
-                     make_field, reduces, successors)
+from polyred import (FiniteSubset, LinearMap, Poly, canonical_invariant,
+                     check_exact_preimage, find_reductions, make_field, reduces,
+                     successors)
 from polyred.reduction import _divide_out, _fiber_certificate, _split_residues
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -360,3 +361,34 @@ def test_preorder_is_affine_invariant(pair, data):
     f = data.draw(affine_maps(A.field))
     g = data.draw(affine_maps(A.field))
     assert reduces(A, B) == reduces(A.map(f), B.map(g))
+
+
+@st.composite
+def witness_chains(draw):
+    """Nontrivial successor witnesses P: A -> B and Q: B -> C, with A from
+    sources(), or None when A has none (|B| >= 3, so B has successors)."""
+    A = draw(sources())
+    firsts = [sc.witness for sc in successors(A)
+              if not sc.trivial and sc.invariant.n >= 3]
+    if not firsts:
+        return None
+    P = draw(st.sampled_from(firsts))
+    seconds = [sc.witness for sc in successors(P.target) if not sc.trivial]
+    return (P, draw(st.sampled_from(seconds))) if seconds else None
+
+
+@settings(PROPERTY, max_examples=200)
+@given(witness_chains())
+def test_successor_witnesses_compose(chain):
+    """If P witnesses A <= B and Q witnesses B <= C, then Q o P witnesses
+    A <= C: (Q o P)^{-1}(C) = P^{-1}(Q^{-1}(C)) = P^{-1}(B) = A, and its
+    degree is gamma_P * gamma_Q."""
+    if chain is None:
+        return
+    P, Q = chain
+    A, C = P.source, Q.target
+    R = Q.poly.compose(P.poly)
+    assert check_exact_preimage(R, A, C)
+    assert _fiber_certificate(R, A, C) == fiber_certificate_oracle(R, A, C)
+    assert R.degree == P.gamma * Q.gamma
+    assert reduces(A, C)

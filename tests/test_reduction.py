@@ -7,6 +7,7 @@ from itertools import combinations, count
 import pytest
 
 from polyred import (
+    ClassInvariant,
     FieldMismatchError,
     FiniteSubset,
     LinearMap,
@@ -544,6 +545,20 @@ def test_successors_certify_each_class_once(F12, monkeypatch):
     certificate)."""
     keys, outcomes = _certificate_outcomes(monkeypatch, _fs(F12, range(-3, 4)))
     assert all(outcomes) and len(outcomes) == len(keys)
+
+
+def test_successor_2_set_witness_certified_once(F4, F8, monkeypatch):
+    """The 2-set class keeps the reduction the witness search onto {0, 1}
+    certified: one certificate on {-1, 0, 1} and two on mu_8 (two and three
+    when that class's witness was rebuilt and certified a second time), and
+    the witness is one find_reductions returns at its degree."""
+    two = ClassInvariant(2, ()).key()
+    for A, calls in ((_fs(F4, [-1, 0, 1]), 1), (roots_of_unity(F8, 8), 2)):
+        keys, outcomes = _certificate_outcomes(monkeypatch, A)
+        assert two in keys and all(outcomes) and len(outcomes) == calls
+        witness = next(sc.witness for sc in successors(A) if sc.invariant.key() == two)
+        assert witness in [r for r in find_reductions(A, _fs(A.field, [0, 1]))
+                           if r.gamma == witness.gamma]
 
 
 def _successor_dump(res):
