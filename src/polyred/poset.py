@@ -14,6 +14,11 @@ from .classes import canonical_invariant
 from .reduction import find_reductions, singleton_reduction, stabilizer
 
 
+def _dot_string(text: str) -> str:
+    """text as a DOT double-quoted string, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 @dataclass
 class PosetReport:
     """Class nodes, the full strict relation, and its transitive reduction."""
@@ -33,9 +38,9 @@ class PosetReport:
                 text = f"{node['label']} (n={node['n']}, chi={node['chi']})"
             else:
                 text = f"{node['label']} (n={node['n']})"
-            lines.append(f'  "{node["label"]}" [label="{text}"];')
+            lines.append(f'  {_dot_string(node["label"])} [label={_dot_string(text)}];')
         for e in self.edges:
-            lines.append(f'  "{e["source"]}" -> "{e["target"]}"'
+            lines.append(f'  {_dot_string(e["source"])} -> {_dot_string(e["target"])}'
                          f' [label="deg {e["degree"]}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

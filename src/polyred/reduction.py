@@ -18,18 +18,18 @@ cardinalities are the window {1}: linear_maps_between, equivalent,
 stabilizer and chi read the linear maps of A onto B off find_reductions.
 Onto a 2-set {b0, b1} the mirror X -> b0 + b1 - X halves the tree.
 
-successors enumerates the root data of a prospective witness (a support in A
-with multiplicities) up to degree (m-1)/2, which forces n >= 3.  Two tests
-modulo a split prime good for A run before any exact image is formed, and
-only a candidate of a new class is certified.  The 2-sets need gamma >= m/2:
-there a witness search onto {0, 1} certifies the class's witness itself.
+successors walks the root data of a prospective witness (a support in A
+with multiplicities) depth-first up to degree (m-1)/2, which forces n >= 3.
+Two tests modulo a split prime good for A read one grouping of the points
+by image residue; the survivors form exact images in (gamma, |I|, I, e)
+order, and only a candidate of a new class is certified.  The 2-sets need
+gamma >= m/2: there a witness search onto {0, 1} certifies the witness.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from operator import mul
 
 from .classes import ClassInvariant, FiniteSubset, canonical_invariant
@@ -403,16 +403,6 @@ def chi(B: FiniteSubset) -> int:
     return math.factorial(n) // stabilizer(B).order
 
 
-def compositions(total: int, parts: int):
-    """Tuples of `parts` positive integers summing to `total`, lexicographic."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
-
-
 @dataclass(frozen=True)
 class SuccessorClass:
     """One class reachable from A; trivial entries ([A] itself and the
@@ -423,48 +413,56 @@ class SuccessorClass:
     trivial: bool
 
 
+def _root_order(gamma: int, roots) -> tuple:
+    """The witness order (gamma, |I|, I, e) of root data [(a, e), ...], I
+    ascending; A is sorted, so its indices and its elements order I alike."""
+    return gamma, len(roots), [a for a, _ in roots], [e for _, e in roots]
+
+
 def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     """The complete finite set of classes reachable from A.
 
-    Candidates are built from the root data of a prospective witness: a
-    support I of A of size <= gamma with positive multiplicities e_i
-    summing to gamma, normalized so the least element j outside I maps to 1
-    (other normalizations rescale the image linearly and cannot add classes).
-    The image of each x_t outside I is the product of the difference powers
-    (x_t - x_i)^e_i, so a candidate needs no polynomial to be tested.  Each
-    candidate through gamma = (m-1)/2 (or max_degree) meets, in this order: the
-    degree window and the fiber test modulo a split prime q, its exact
-    images, the dedup by canonical invariant of W = {0} U images, and the
-    exact preimage certificate; [A] and the singleton class are appended as
-    trivial entries.
+    Candidates are the root data of a prospective witness: a support I of A
+    with positive multiplicities e_i summing to gamma, normalized so the
+    least element j outside I maps to 1 (other normalizations rescale the
+    image linearly and cannot add classes).  The image of each x_t outside
+    I is prod (x_t - x_i)^e_i, so a candidate needs no polynomial to be
+    tested.  walk visits every (I, e) through gamma = (m-1)/2 (or
+    max_degree) depth-first and carries, from parent to child, the image
+    residues and base = prod (X - x_i)^e_i modulo a split prime q: a node
+    costs one multiplication per point and one step of base by X - x_i.
+    The nodes of gamma >= 2 that pass the window and fiber tests mod q meet,
+    in (gamma, |I|, I, e) order, their exact images, the dedup by canonical
+    invariant of W = {0} U images, and the exact preimage certificate.  So
+    only a candidate of a new class is certified, and each class's witness
+    is its certified candidate of least (gamma, |I|, I, e).  [A] and the
+    singleton class are appended as trivial entries.
 
     Both tests run modulo the first split prime q that is good for A
     (_split_residues): every denominator is prime to q and A's residues are
     pairwise distinct.  The residue map zeta -> w is a ring homomorphism on
     the elements whose denominators are prime to q, so an image's residue
     is the product of its factors' residues, a nonzero function of the
-    exact value.
+    exact value, and the residues vanish exactly on I.  Both tests read one
+    grouping of the points outside I by residue.
 
-    The window gamma(n-1) <= m-1 on W = {0} U images (the excess
-    multiplicities of the n fibers are roots of P', so gamma*n - m <=
-    gamma-1; for gamma >= 2 it implies n < m) is tested on the residues:
-    there are at most as many distinct residues as distinct exact images,
-    so more than max_n - 1 residues proves a rejection.
+    The window gamma(n-1) <= m-1 on W (the excess multiplicities of the n
+    fibers are roots of P', so gamma*n - m <= gamma-1; for gamma >= 2 it
+    implies n < m) is tested on the groups: there are at most as many
+    groups as distinct exact images, so more than (m-1)//gamma groups
+    proves a rejection.
 
-    The fiber test: with base mod q = prod (X - x_i mod q)^e_i (monic) and
-    the points outside I grouped by residue r, dividing every point of its
-    group out of base - r must leave a constant for each r
-    (_fibers_full_mod_p, the leaf test of _search_degree).  If the
-    certificate passes, then for each image w and each x_t in its exact
-    fiber, (X - x_t)^e divides base - w over the q-integers, hence mod q;
-    the mod-q group of w mod q contains the exact fiber, so its
-    multiplicities sum to at least gamma, and to exactly gamma, since the
-    monic base - w has at most gamma roots with multiplicity.  Residues
-    that merge or multiplicities that rise mod q can only let a candidate
-    through to the certificate, never reject a witness.
-
-    The certificate decides the rest: the exact window and a fiber cap of
-    gamma elements follow from it, so neither is run.
+    The fiber test: dividing every point of its group out of base - r must
+    leave a constant for each residue r (_fibers_full_mod_p, the leaf test
+    of _search_degree).  If the certificate passes, then for each image w
+    and each x_t in its exact fiber, (X - x_t)^e divides base - w over the
+    q-integers, hence mod q; the mod-q group of w mod q contains the exact
+    fiber, so its multiplicities sum to at least gamma, and to exactly
+    gamma, since the monic base - w has at most gamma roots with
+    multiplicity.  Residues that merge or multiplicities that rise mod q
+    can only let a candidate through to the certificate, never reject a
+    witness.  The certificate decides the rest: the exact window and a
+    fiber cap of gamma elements follow from it, so neither is run.
 
     The window splits the classes between two routes: gamma <= (m-1)/2
     forces n >= 3, and n = 2 needs gamma >= m/2 (images are nonzero).  For
@@ -474,9 +472,8 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     is a fiber of a degree-gamma reduction R onto {0, 1}: its witness c*base
     is such an R with 0-fiber (I, e); an R with 0-fiber (I, e) is c'*base
     with R(x_j) = 1, so c' = c; R's 1-fiber is the 0-fiber of 1 - R.  So the
-    R whose 0-fiber has the least (|I|, I, e) is the loop's first witness,
-    and the search's certified R is stored as it is (A is sorted, so its
-    elements order the supports I as their indices do).
+    certified R with the least 0-fiber in the same order is the class's
+    witness, and it is stored as the search built it.
     """
     m = len(A)
     if m < 2:
@@ -492,62 +489,51 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     top = m - 1 if max_degree is None else min(m - 1, max_degree)
     half = min(top, (m - 1) // 2)  # above it every candidate's W is a 2-set
     q, xr, _ = _split_residues(A, A)
-    # rp[t][i][e - 1] = (x_t - x_i)^e mod q, nonzero for t != i at a good q
-    rp = [[[pow(xr[t] - xr[i], e, q) for e in range(1, half + 1)]
-           for i in range(m)] for t in range(m)]
-    for gamma in range(2, half + 1):
-        max_n = 1 + (m - 1) // gamma
-        for size in range(1, gamma + 1):
-            for I in combinations(range(m), size):
-                others = [j for j in range(m) if j not in I]
-                for mults in compositions(gamma, size):
-                    roots = list(zip(I, mults))
-                    residues = []  # image residues, in others order
-                    for t in others:
-                        row = rp[t]
-                        r = 1
-                        for i, e in roots:
-                            r = r * row[i][e - 1] % q
-                        residues.append(r)
-                    if len(set(residues)) + 1 > max_n:
-                        continue  # the exact images are at least as many
-                    base_q = [1]  # base mod q, ascending
-                    for i, e in roots:
-                        for _ in range(e):  # times X - x_i
-                            base_q = [(lo - xr[i] * hi) % q for lo, hi
-                                      in zip([0, *base_q], [*base_q, 0])]
-                    fibers_q = {}
-                    for t, r in zip(others, residues):
-                        fibers_q.setdefault(r, []).append(xr[t])
-                    if _fibers_full_mod_p(base_q, fibers_q.items(), q) is None:
-                        continue  # the exact certificate would fail too
-                    # c*base onto c*W, c = 1/base(x_j), unless W's class is in out
-                    values = [reduce(mul, [(xs[t] - xs[i]) ** e for i, e in roots])
-                              for t in others]
-                    W = FiniteSubset(field, {field.zero(), *values})
-                    inv = canonical_invariant(W)
-                    key = inv.key()
-                    if key in out:
-                        continue
-                    c = values[0].inverse()
-                    P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
-                    B = FiniteSubset(field, [c * w for w in W.elems])
-                    fibers = _fiber_certificate(P, A, B)
-                    if fibers is not None:
-                        witness = Reduction(P, A, B, gamma, fibers)
-                        out[key] = SuccessorClass(inv, witness, False)
+    survivors = []  # (gamma, [(i, e_i), ...]) passing both tests mod q
+
+    def walk(start: int, gamma: int, roots: list, res: list, base_q: list) -> None:
+        # res[t] = prod (x_t - x_i)^e_i mod q; base_q = base mod q, ascending
+        for i in range(start, m):
+            r, b, x = res, base_q, xr[i]
+            for e in range(1, half - gamma + 1):
+                r = [v * (y - x) % q for v, y in zip(r, xr)]
+                b = [(lo - x * hi) % q for lo, hi in zip([0, *b], [*b, 0])]
+                node, g = [*roots, (i, e)], gamma + e
+                if g >= 2:
+                    groups = {}
+                    for v, y in zip(r, xr):
+                        if v:  # t outside I
+                            groups.setdefault(v, []).append(y)
+                    if (len(groups) <= (m - 1) // g
+                            and _fibers_full_mod_p(b, groups.items(), q) is not None):
+                        survivors.append((g, node))
+                walk(i + 1, g, node, r, b)
+
+    walk(0, 0, [], [1] * m, [1])
+    for gamma, roots in sorted(survivors, key=lambda s: _root_order(*s)):
+        support = {i for i, _ in roots}
+        # c*base onto c*W, c = 1/base(x_j), unless W's class is in out
+        values = [reduce(mul, [(x - xs[i]) ** e for i, e in roots])
+                  for t, x in enumerate(xs) if t not in support]
+        W = FiniteSubset(field, {field.zero(), *values})
+        inv = canonical_invariant(W)
+        key = inv.key()
+        if key in out:
+            continue
+        c = values[0].inverse()
+        P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
+        B = FiniteSubset(field, [c * w for w in W.elems])
+        fibers = _fiber_certificate(P, A, B)
+        if fibers is not None:
+            out[key] = SuccessorClass(inv, Reduction(P, A, B, gamma, fibers), False)
     if m > 2:  # for m = 2 the 2-set class is [A]
         pair = FiniteSubset(field, [0, 1])
-
-        def zero_fiber(r):  # (|I|, I, e) of r's fiber over 0, in A's order
-            pre = r.fibers[0][1]
-            return len(pre), [a for a, _ in pre], [e for _, e in pre]
-
         for gamma in range(half + 1, top + 1):
             found = _search_degree(A, pair, gamma, False, (q, xr, [0, 1]))
             if found:
                 two = ClassInvariant(2, ())
-                out[two.key()] = SuccessorClass(two, min(found, key=zero_fiber), False)
+                witness = min(found, key=lambda r: _root_order(r.gamma, r.fibers[0][1]))
+                out[two.key()] = SuccessorClass(two, witness, False)
                 break
     return sorted(out.values(), key=lambda sc: (sc.invariant.n, sc.invariant.key()))
 

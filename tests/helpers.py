@@ -8,7 +8,8 @@ loop at every degree, the linear-map oracle tries the n(n-1) maps that
 send the two least source elements to an ordered pair of targets, the
 inverse oracle multiplies all phi(N) - 1 Galois conjugates one by one, and
 the invariant oracle takes the minimum over every full lambda-tuple, and
-the certificate oracle reads multiplicities off derivatives.
+the certificate oracle reads multiplicities off derivatives.  The
+oracles enumerate multiplicity vectors with their own helper, compositions.
 Agreement between these and the package routines is what the dual-route
 tests assert.
 """
@@ -17,7 +18,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from polyred import FiniteSubset, Poly
-from polyred.reduction import compositions
+
+
+def compositions(total: int, parts: int):
+    """Tuples of `parts` positive integers summing to `total`, lexicographic."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
 
 
 def rand_fraction(rng, span=12, den=6):
@@ -322,11 +332,11 @@ def fiber_certificate_oracle(P, A, B):
 def successors_candidate_oracle(A, max_degree=None):
     """successors(A, max_degree) by the candidate loop over every degree.
 
-    The same output as successors, the same candidate order and the same
-    mod-q tests, but every gamma through m - 1 (or max_degree) runs the loop,
-    so the 2-set class comes from the first certified candidate with
-    |W| = 2 instead of from a witness search onto {0, 1}.  Exponential in
-    |A|: keep m <= 9.
+    The same output as successors: the same survivors, certified in the same
+    (gamma, |I|, I, e) order, after the same mod-q tests.  But every gamma
+    through m - 1 (or max_degree) runs the loop, so the 2-set class comes
+    from the first certified candidate with |W| = 2 instead of from a
+    witness search onto {0, 1}.  Exponential in |A|: keep m <= 9.
     """
     from functools import reduce
     from operator import mul

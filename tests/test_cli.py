@@ -424,6 +424,20 @@ def test_poset_dot_outputs(tmp_path, capsys):
     assert out.startswith("digraph")  # DOT replaces the JSON payload
 
 
+def test_poset_dot_escapes_labels(tmp_path, capsys):
+    """A quote or backslash in a label is escaped in node IDs, edge endpoints
+    and label text, so the DOT stays valid."""
+    f = _setfile(tmp_path, 4, {'a"b': [0, 1, -1], "c\\d": [0, 1]})
+    code, out, _ = _run(capsys, ["poset", "-f", f, "--dot", "-"])
+    assert code == 0
+    assert out == ('digraph reducibility {\n'
+                   '  rankdir=TB;\n'
+                   '  "a\\"b" [label="a\\"b (n=3, chi=3)"];\n'
+                   '  "c\\\\d" [label="c\\\\d (n=2)"];\n'
+                   '  "a\\"b" -> "c\\\\d" [label="deg 2"];\n'
+                   '}\n')
+
+
 # -- exit codes ------------------------------------------------------------------
 
 def test_missing_label_is_domain_error(tmp_path, capsys):

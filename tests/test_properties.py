@@ -2,9 +2,10 @@
 affine invariance of the canonical invariant, the successor classes found
 modulo a split prime against the exact partition oracle, the witness search
 against the successor classes and against the Fraction oracle, the fiber
-certificate against the derivative criterion, and the multiplicities of every
-witness modulo its good split prime, and the composition of successor
-witnesses, over generated elements, sets and maps (Hypothesis, derandomized)."""
+certificate against the derivative criterion, the multiplicities of every
+witness modulo its good split prime, the composition of successor
+witnesses, and successors against the candidate loop at every degree, over
+generated elements, sets and maps (Hypothesis, derandomized)."""
 import json
 from fractions import Fraction
 from itertools import count
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (fiber_certificate_oracle, inverse_oracle, reduction_oracle_q,
-                     successor_oracle)
+                     successor_oracle, successors_candidate_oracle)
 from polyred import (FiniteSubset, LinearMap, Poly, canonical_invariant,
                      check_exact_preimage, find_reductions, make_field, reduces,
                      successors)
@@ -303,6 +304,18 @@ def sources(draw):
     else:
         vals = draw(st.lists(rationals_small, min_size=3, max_size=7, unique=True))
     return FiniteSubset(field, vals)
+
+
+@PROPERTY
+@given(sources())
+def test_successors_match_candidate_oracle_on_sources(A):
+    """successors gives the keys, trivial flags and witnesses of the
+    candidate loop run at every degree, also on the irrational circle
+    unions of Q(zeta_12)."""
+    def dump(res):
+        return json.dumps([(sc.invariant.key(), sc.trivial,
+                            sc.witness and sc.witness.to_json_obj()) for sc in res])
+    assert dump(successors(A)) == dump(successors_candidate_oracle(A))
 
 
 @st.composite

@@ -28,10 +28,10 @@ from polyred import (
     stabilizer,
     successors,
 )
-from polyred.reduction import (_fiber_certificate, _fibers_full_mod_p, _split_residues,
-                              compositions)
-from helpers import (rand_element, rand_irrational_map, rand_linear_map, rand_rational_set,
-                     reduction_oracle_q, successor_oracle, successors_candidate_oracle)
+from polyred.reduction import _fiber_certificate, _fibers_full_mod_p, _split_residues
+from helpers import (compositions, rand_element, rand_irrational_map, rand_linear_map,
+                     rand_rational_set, reduction_oracle_q, successor_oracle,
+                     successors_candidate_oracle)
 
 
 def _fs(F, vals):
@@ -559,6 +559,37 @@ def test_successor_2_set_witness_certified_once(F4, F8, monkeypatch):
         witness = next(sc.witness for sc in successors(A) if sc.invariant.key() == two)
         assert witness in [r for r in find_reductions(A, _fs(A.field, [0, 1]))
                            if r.gamma == witness.gamma]
+
+
+def test_successor_certificates_match_candidate_oracle(F4, F8, F12, monkeypatch):
+    """Capped at gamma = (m-1)/2, where the 2-set search never runs, successors
+    runs the same certificates, on the same (P, B), in the same order, with
+    the same outcomes as the candidate loop: the walk keeps every survivor
+    of the loop, adds none, and takes them in (gamma, |I|, I, e) order."""
+    import polyred.reduction as red
+    certify = red._fiber_certificate
+
+    def calls(run, A):
+        seen = []
+
+        def recording(P, A_, B):
+            fibers = certify(P, A_, B)
+            seen.append((P.coeffs, B.elems, fibers is not None))
+            return fibers
+
+        with monkeypatch.context() as mp:
+            mp.setattr(red, "_fiber_certificate", recording)
+            run(A, (len(A) - 1) // 2)
+        return seen
+
+    rng = random.Random(2323)
+    cases = [_fs(F4, range(m)) for m in range(3, 10)]
+    for F, d in ((F4, 4), (F8, 8), (F12, 6), (F12, 12)):
+        mu = roots_of_unity(F, d)
+        cases += [mu, FiniteSubset(F, [F.zero(), *mu])]
+    cases += [rand_rational_set(F4, rng, m, span=4, den=2) for m in range(5, 9)]
+    for A in cases:
+        assert calls(successors, A) == calls(successors_candidate_oracle, A)
 
 
 def _successor_dump(res):
