@@ -206,7 +206,10 @@ def sigma3_coordinate(B: FiniteSubset) -> tuple[FieldElement, FieldElement]:
     """Class coordinate of a 3-set: the pair (W2^3 : W3^2) from the centered
     power sums W_l = sum (b_j - mean)^l, normalized so the first nonzero
     entry is 1.  Projective form avoids dividing by zero at the class where
-    W3 vanishes."""
+    W2 vanishes, which gets (0 : 1).  W2 and W3 never both vanish: the
+    centered d_j sum to 0, so W2 = W3 = 0 would give e1 = e2 = e3 = 0 by
+    Newton's identities, make every d_j a root of X^3, hence 0, and make the
+    three elements coincide."""
     if len(B) != 3:
         raise ValueError("sigma3 coordinate is defined for 3-element sets")
     field = B.field
@@ -218,6 +221,4 @@ def sigma3_coordinate(B: FiniteSubset) -> tuple[FieldElement, FieldElement]:
     v = w3 * w3
     if not u.is_zero():
         return (field.one(), v / u)
-    if v.is_zero():
-        raise ArithmeticError("degenerate 3-set: both symmetric coordinates vanish")
     return (field.zero(), field.one())

@@ -61,8 +61,7 @@ def decompose(B: FiniteSubset) -> ExceptionalStructure:
     g = stab.order
     if len(B) < 3 or g == 1:
         raise ValueError("decompose requires an exceptional set")
-    generators = [f for f in stab.maps
-                  if not f.slope.is_one() and f.slope.multiplicative_order(g) == g]
+    generators = [f for f in stab.maps if f.slope.multiplicative_order(g) == g]
     if not generators:
         raise ArithmeticError("stabilizer is not cyclic of its own order")
     tau = min(generators, key=lambda f: f.slope)

@@ -30,7 +30,7 @@ checked exactly, so ``None`` proves that the element is not a square.
 A prime p = 1 (mod N) splits completely in Q(zeta_N): for a primitive N-th
 root of unity w modulo p, zeta -> w is a ring map Z[zeta] -> F_p.
 ``split_prime(i)`` gives the i-th such prime below 2^30, in descending order,
-built lazily per field; its ``residue`` sends v/den to (sum v_j w^j)/den mod p
+cached per field; its ``residue`` sends v/den to (sum v_j w^j)/den mod p
 and returns None when p divides den.  The witness search runs on these
 residues and certifies its survivors exactly.
 
@@ -75,11 +75,6 @@ def _rational_pair(q) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def _int_poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials (den monic); remainder must vanish."""
     num = list(num)
@@ -102,8 +97,8 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     polynomials of the proper divisors of n.
     """
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             poly = _int_poly_divmod_exact(poly, list(_cyclotomic_coeffs(d)))
     return tuple(poly)
 
@@ -117,8 +112,7 @@ def make_field(order: int) -> "CyclotomicField":
 class CyclotomicField:
     """Q(zeta_N) with exact power-basis arithmetic modulo the N-th cyclotomic polynomial."""
 
-    __slots__ = ("order", "degree", "modulus", "_rows", "_constants", "_zeta", "_sqrt",
-                 "_split")
+    __slots__ = ("order", "degree", "modulus", "_rows", "_constants")
 
     def __init__(self, order: int):
         if not isinstance(order, int) or isinstance(order, bool):
@@ -146,9 +140,6 @@ class CyclotomicField:
         # _constants[k] = constant coordinate of z^k, k = 0..2d-2: every
         # exponent of a product of two coordinate vectors
         self._constants = tuple(dict(rows[k % order]).get(0, 0) for k in range(2 * d - 1))
-        self._zeta = self._make(tuple(dict(rows[1 % order]).get(i, 0) for i in range(d)), 1)
-        self._sqrt = None  # _SqrtData, built by the first FieldElement.sqrt
-        self._split = []  # _SplitPrime list, extended by split_prime
 
     def _make(self, num: tuple[int, ...], den: int) -> "FieldElement":
         el = FieldElement.__new__(FieldElement)
@@ -163,8 +154,6 @@ class CyclotomicField:
             den = -den
             num = [-v for v in num]
         g = math.gcd(den, *num)
-        if g == 0:
-            return self._make((0,) * self.degree, 1)
         if g > 1:
             num = [v // g for v in num]
             den //= g
@@ -256,8 +245,9 @@ class CyclotomicField:
         return self.from_rational(1)
 
     def zeta(self, power: int = 1) -> "FieldElement":
-        """zeta_N^power for any integer power."""
-        return self._zeta ** (power % self.order)
+        """zeta_N^power for any integer power: row power mod N of the power table."""
+        row = dict(self._rows[power % self.order])
+        return self._make(tuple(row.get(i, 0) for i in range(self.degree)), 1)
 
     def element_from_encoding(self, strings) -> "FieldElement":
         """Parse the textual coordinate form: phi(N) strings "p/q" with q >= 1."""
@@ -272,18 +262,18 @@ class CyclotomicField:
             pairs.append((int(p), int(q)))
         return self._from_pairs(pairs)
 
+    @lru_cache(maxsize=None)
     def split_prime(self, index: int) -> "_SplitPrime":
         """The index-th prime p = 1 (mod N) below 2^30, counting down, with a
-        primitive N-th root of unity w modulo p."""
-        n, split = self.order, self._split
-        while len(split) <= index:
-            p = split[-1].p - n if split else (2 ** 30 - 2) // n * n + 1
-            while not _is_prime(p):
-                p -= n
-                if p < 2:
-                    raise ArithmeticError(f"no split prime left for Q(zeta_{n})")
-            split.append(_SplitPrime(self, p))
-        return split[index]
+        primitive N-th root of unity w modulo p.  Cached on (field, index), so
+        equal fields share it."""
+        n = self.order
+        p = self.split_prime(index - 1).p - n if index else (2 ** 30 - 2) // n * n + 1
+        while not _is_prime(p):
+            p -= n
+            if p < 2:
+                raise ArithmeticError(f"no split prime left for Q(zeta_{n})")
+        return _SplitPrime(self, p)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -301,6 +291,17 @@ def _check_same_field(a, b):
     if a.field.order != b.field.order:
         raise FieldMismatchError(
             f"mixed fields Q(zeta_{a.field.order}) and Q(zeta_{b.field.order})")
+
+
+def _power(a, e: int, mul):
+    """a^e for e >= 1 under the product mul, by left-to-right binary powering:
+    bit_length(e) + popcount(e) - 2 products."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
+    return out
 
 
 # -- square roots: the ring F_p[zeta] and the per-field data -----------------
@@ -366,7 +367,7 @@ class _SqrtPrime:
         parts = [([1] + [0] * (d - 1), None)]  # (idempotent, non-square on it)
         while len(parts) < d // f or any(w is None for _, w in parts):
             r = [rng.randrange(p) for _ in range(d)]
-            u = self.power(r, (self.q - 1) // 2)
+            u = _power(r, (self.q - 1) // 2, self.mul)
             split = [(a - b) * half % p for a, b in zip(self.mul(u, u), u)]
             refined = []
             for e, w in parts:
@@ -380,52 +381,34 @@ class _SqrtPrime:
             parts = refined
         self.idempotents = [e for e, _ in parts]
         z = [sum(c) % p for c in zip(*(self.mul(e, w) for e, w in parts))]
-        self.sylow = self.power(z, t)
+        self.sylow = _power(z, t, self.mul)
 
     def mul(self, a, b) -> list[int]:
         """The product of a and b in F_p[zeta]."""
         p = self.p
         return [c % p for c in self.field._product(a, b)]
 
-    def power(self, a, e: int) -> list[int]:
-        """a^e in F_p[zeta] for e >= 1, by left-to-right binary powering."""
-        out = a
-        for bit in bin(e)[3:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
-        return out
+
+@lru_cache(maxsize=None)
+def _sqrt_prime(field: "CyclotomicField", index: int) -> _SqrtPrime:
+    """The index-th odd prime p, p not dividing N, whose order modulo N is the
+    exponent of (Z/N)^*, its largest element order: the first relative order
+    of the unit chain, 1 when N <= 2."""
+    n, chain = field.order, _unit_chain(field.order)
+    exponent = chain[0][1] if chain else 1
+    p = _sqrt_prime(field, index - 1).p + 2 if index else 3
+    while not (n % p and _is_prime(p) and _multiplicative_order(p, n) == exponent):
+        p += 2
+    return _SqrtPrime(field, p, exponent)
 
 
-class _SqrtData:
-    """Per-field data for FieldElement.sqrt: the coefficient-bound constant and
-    the primes of maximal order modulo N, found as needed."""
-
-    __slots__ = ("field", "exponent", "bound", "primes")
-
-    def __init__(self, field: "CyclotomicField"):
-        self.field = field
-        # the exponent of (Z/N)^*, its largest element order: the first
-        # relative order of the unit chain
-        chain = _unit_chain(field.order)
-        self.exponent = chain[0][1] if chain else 1
-        # |Y_j| <= d * L1(Phi_N) * L1(1/Phi_N'(zeta)) * sqrt(L1(Y^2)); see sqrt
-        phi = field.modulus
-        w = field.element([i * c for i, c in enumerate(phi) if i]).inverse()
-        self.bound = Fraction(field.degree * sum(map(abs, phi)) * sum(map(abs, w.num)),
-                              w.den)
-        self.primes = []
-
-    def prime(self, index: int) -> _SqrtPrime:
-        """The index-th odd prime p, p not dividing N, with ord_N(p) = exponent."""
-        n = self.field.order
-        while len(self.primes) <= index:
-            p = self.primes[-1].p + 2 if self.primes else 3
-            while not (n % p and _is_prime(p)
-                       and _multiplicative_order(p, n) == self.exponent):
-                p += 2
-            self.primes.append(_SqrtPrime(self.field, p, self.exponent))
-        return self.primes[index]
+@lru_cache(maxsize=None)
+def _sqrt_bound(field: "CyclotomicField") -> Fraction:
+    """d * L1(Phi_N) * L1(1/Phi_N'(zeta)): |Y_j| is at most this times
+    sqrt(L1(Y^2)); see FieldElement.sqrt."""
+    phi = field.modulus
+    w = field.element([i * c for i, c in enumerate(phi) if i]).inverse()
+    return Fraction(field.degree * sum(map(abs, phi)) * sum(map(abs, w.num)), w.den)
 
 
 class _SplitPrime:
@@ -582,15 +565,7 @@ class FieldElement:
             return self.inverse() ** (-e)
         if e == 0:
             return self.field.one()
-        # bit_length(e) + popcount(e) - 2 products
-        result, base = None, self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return _power(self, e, mul)
 
     def multiplicative_order(self, limit: int | None = None) -> int | None:
         """Least k in 1..limit with self^k = 1, else None.
@@ -698,19 +673,16 @@ class FieldElement:
         if self.is_zero():
             return self
         fld = self.field
-        if fld._sqrt is None:
-            fld._sqrt = _SqrtData(fld)
-        data = fld._sqrt
         B = [self.den * v for v in self.num]
         P, n = fld._adjugate(B)
         index = 0
-        while n % data.prime(index).p == 0:
+        while n % _sqrt_prime(fld, index).p == 0:
             index += 1
-        sp = data.prime(index)
+        sp = _sqrt_prime(fld, index)
         p, mul, half = sp.p, sp.mul, (sp.p + 1) // 2
         one, inverse = [1] + [0] * (fld.degree - 1), pow(n, -1, p)
         a = [c * inverse % p for c in P]
-        x = sp.power(a, (sp.odd_part + 1) // 2)
+        x = _power(a, (sp.odd_part + 1) // 2, mul)
         b, c, m = mul(mul(x, x), B), sp.sylow, sp.two_adic
         while b != one:
             j, b2 = 0, b
@@ -719,7 +691,7 @@ class FieldElement:
                 if j == m:  # Euler's test: a is a non-square in some copy
                     return None
             f = [(o - v) * half % p for o, v in zip(one, last)]
-            w = sp.power(c, 1 << (m - j - 1))
+            w = _power(c, 1 << (m - j - 1), mul)
             r = [(o - e + v) % p for o, e, v in zip(one, f, mul(f, w))]
             x, b, c, m = mul(x, r), mul(b, mul(r, r)), mul(w, w), j
         terms = [mul(x, e) for e in sp.idempotents]
@@ -727,7 +699,7 @@ class FieldElement:
         l1 = sum(map(abs, B))
         root_l1 = math.isqrt(l1)
         root_l1 += root_l1 * root_l1 < l1
-        bound = math.ceil(data.bound * root_l1)
+        bound = math.ceil(_sqrt_bound(fld) * root_l1)
         k = 1
         while p ** k <= 2 * bound:
             k += 1

@@ -55,6 +55,7 @@ def test_subset_basics(F12):
     S = _fs(F12, [3, 0, 1])
     assert [e.as_fraction() for e in S] == [0, 1, 3]
     assert len(S) == 3 and S.n == 3
+    assert repr(S) == "{0, 1, 3}"
     assert F12.from_rational(1) in S and F12.from_rational(2) not in S
     with pytest.raises(ValueError):
         _fs(F12, [])
@@ -102,6 +103,8 @@ def test_maps_between_small_cardinalities(F12):
            for f in linear_maps_between(_fs(F12, [0, 1]), _fs(F12, [3, 5]))]
     assert got == [(-2, 5), (2, 3)]  # 5 - 2X and 2X + 3
     assert equivalent(_fs(F12, [0, 1]), _fs(F12, [-5, Fraction(1, 3)]))
+    with pytest.raises(ValueError):
+        linear_maps_between(_fs(F12, [0, 1]), _fs(F12, [0, 1, 2]))
 
 
 def test_maps_between_count_bounds(F12):
@@ -394,6 +397,8 @@ def test_characteristic_points_closed_under_reordering(F12):
     for p in pts:
         for q in permutations(p):
             assert q in pts
+    with pytest.raises(ValueError):
+        characteristic_lambda_points(_fs(F12, [0, 1]))
 
 
 def test_sigma3_examples(F12):

@@ -408,6 +408,8 @@ def test_poset_one_stabilizer_per_node(monkeypatch):
         n = node["n"]  # mu_n is stabilized by its n rotations
         assert node["chi"] == math.factorial(n) // n
         assert node["exceptional"] is True
+    with pytest.raises(ValueError):
+        build_poset({})
 
 
 def test_poset_dot_outputs(tmp_path, capsys):

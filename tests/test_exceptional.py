@@ -120,6 +120,8 @@ def test_generate_validations(F12):
     with pytest.raises(ValueError):
         generate_exceptional(F12, 1, 1, 12, [one], -one)
     with pytest.raises(ValueError):
+        generate_exceptional(F12, 2, 0, 6, [], one)  # no gon
+    with pytest.raises(ValueError):
         generate_exceptional(F12, 5, 1, 1, [one], one)  # no 5th roots in order 12
     with pytest.raises(ValueError):
         generate_exceptional(F12, 2, 2, 6, [one, one], -one)  # colliding gons

@@ -13,8 +13,8 @@ import sympy as sp
 
 import polyred
 from polyred import FieldMismatchError, make_field
-from polyred.field import (CyclotomicField, FieldElement, _multiplicative_order, _SqrtData,
-                           _unit_chain)
+from polyred.field import (CyclotomicField, FieldElement, _multiplicative_order, _power,
+                           _sqrt_prime, _unit_chain)
 from helpers import inverse_oracle
 
 
@@ -29,6 +29,10 @@ def test_cyclotomic_modulus_against_sympy():
 
 def test_make_field_is_cached_and_validated():
     assert make_field(12) is make_field(12)
+    # fields are values: equal, and hashed alike, exactly when their orders are
+    assert CyclotomicField(12) == make_field(12) and hash(CyclotomicField(12)) == hash(
+        make_field(12))
+    assert CyclotomicField(12) != make_field(4) and make_field(12) != 12
     with pytest.raises(ValueError):
         make_field(0)
     with pytest.raises(ValueError):
@@ -50,6 +54,10 @@ def test_zeta_powers_and_orders(F12, monkeypatch):
     assert z.multiplicative_order() == 12
     assert F12.zeta(3).multiplicative_order() == 4
     assert F12.zeta(14) == F12.zeta(2)
+    for n in (1, 2, 3, 5, 12, 16):
+        F = make_field(n)
+        for k in range(-2 * n, 2 * n):
+            assert F.zeta(k) == F.zeta(1) ** (k % n), (n, k)
     for bad in (True, False, 2.0):
         with pytest.raises(TypeError):
             z ** bad
@@ -75,6 +83,17 @@ def test_zeta_powers_and_orders(F12, monkeypatch):
         assert x ** e == powers[e] and calls[0] == products, e
 
 
+def test_prime_choices_pinned():
+    """The split and sqrt primes are cached per field value, and each index
+    keeps the prime it has always had."""
+    assert CyclotomicField(12).split_prime(1) is make_field(12).split_prime(1)
+    for n, ps in ((4, (3, 7)), (12, (5, 7)), (13, (7, 11)), (105, (17, 23)),
+                  (128, (3, 5))):
+        assert tuple(_sqrt_prime(make_field(n), i).p for i in (0, 1)) == ps, n
+    for n, ps in ((4, (1073741789, 1073741741)), (105, (1073740501, 1073739451))):
+        assert tuple(make_field(n).split_prime(i).p for i in (0, 1)) == ps, n
+
+
 def test_rational_arithmetic_matches_fractions(F12):
     rng = random.Random(101)
     for _ in range(200):
@@ -86,7 +105,10 @@ def test_rational_arithmetic_matches_fractions(F12):
         assert (ea * eb).as_fraction() == a * b
         if b:
             assert (ea / eb).as_fraction() == a / b
+            assert (2 / eb).as_fraction() == 2 / b
+        assert (1 - ea).as_fraction() == 1 - a
         assert (ea < eb) == (a < b)
+        assert bool(ea) == bool(a)
     # a float, a str or a bool is not a rational scalar: rejected with
     # TypeError at every entry point, never silently converted
     x = F12.zeta(1)
@@ -102,7 +124,21 @@ def test_rational_arithmetic_matches_fractions(F12):
         with pytest.raises(TypeError):
             x * bad
         with pytest.raises(TypeError):
+            x - bad
+        with pytest.raises(TypeError):
+            bad - x
+        with pytest.raises(TypeError):
+            x / bad
+        with pytest.raises(TypeError):
+            bad / x
+        with pytest.raises(TypeError):
+            x < bad
+        with pytest.raises(TypeError):
             polyred.Poly(F12, [1, 1]) * bad
+        with pytest.raises(TypeError):
+            polyred.Poly(F12, [1, 1]) + bad
+        with pytest.raises(TypeError):
+            polyred.Poly(F12, [1, 1]) - bad
         assert x != bad
 
 
@@ -249,6 +285,10 @@ def test_encode_decode_round_trip(F12):
                 ["1/2\n", "0/1", "0/1", "0/1"]):
         with pytest.raises(ValueError):
             F12.element_from_encoding(bad)
+    with pytest.raises(ValueError):
+        F12.element([1, 2, 3, 4, 5])  # more than phi(12) = 4 coordinates
+    with pytest.raises(ValueError):
+        F12.zeta(1).as_fraction()
 
 
 def test_field_mismatch_rejected(F4, F12):
@@ -373,20 +413,20 @@ def test_sqrt_prime_ring_data():
     and summing to 1, and sylow^(2^(s-1)) = -1 in every copy."""
     for n in (1, 3, 4, 8, 12, 13, 15, 16, 24, 60, 105, 120):
         F = make_field(n)
-        data = _SqrtData(F)
         units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-        assert data.exponent == math.lcm(*(_multiplicative_order(k, n) for k in units))
-        ring = data.prime(0)
+        exponent = math.lcm(*(_multiplicative_order(k, n) for k in units))
+        ring = _sqrt_prime(F, 0)
         p, mul, es = ring.p, ring.mul, ring.idempotents
+        assert _multiplicative_order(p, n) == exponent, n
         one = [1] + [0] * (F.degree - 1)
-        assert ring.q == p ** data.exponent == 2 ** ring.two_adic * ring.odd_part + 1
-        assert len(es) == F.degree // data.exponent, n
+        assert ring.q == p ** exponent == 2 ** ring.two_adic * ring.odd_part + 1
+        assert len(es) == F.degree // exponent, n
         for i, e in enumerate(es):
             assert any(e) and mul(e, e) == e, (n, i)
             assert all(not any(mul(e, other)) for other in es[i + 1:]), (n, i)
         assert [sum(c) % p for c in zip(*es)] == one, n
         minus_one = [p - 1] + one[1:]
-        assert ring.power(ring.sylow, 1 << (ring.two_adic - 1)) == minus_one, n
+        assert _power(ring.sylow, 1 << (ring.two_adic - 1), mul) == minus_one, n
 
 
 def test_import_loads_no_third_party_module():
@@ -425,5 +465,7 @@ def test_rational_elements_hash_like_their_values(F1, F12):
 def test_str_forms(F12):
     assert str(F12.zero()) == "0"
     assert str(F12.one()) == "1"
+    assert repr(F12.from_rational(Fraction(-1, 2))) == "<-1/2 in Q(zeta12)>"
+    assert repr(F12) == "CyclotomicField(12)"
     z = F12.zeta(1)
     assert "z" in str(z + z * z)

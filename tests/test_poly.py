@@ -16,6 +16,8 @@ def test_degree_and_normalization(F12):
     assert Poly(F12, [0, 0, 3]).leading == 3
     with pytest.raises(ValueError):
         Poly(F12, []).leading
+    assert repr(Poly(F12, [0, 0])) == "Poly(0)"
+    assert repr(Poly(F12, [1, 0, Fraction(-2, 3)])) == "Poly((1) + (-2/3)*X^2)"
 
 
 def test_evaluation_horner(F12):
@@ -102,5 +104,7 @@ def test_linear_map_algebra(F12):
     assert LinearMap.identity(F12)(x) == x
     with pytest.raises(ValueError):
         LinearMap(F12.zero(), F12.one())
+    assert repr(f) == "LinearMap((3)*X + (-2))"
+    assert f.compose(LinearMap.identity(F12)) in {f} and hash(f.inverse().inverse()) == hash(f)
     assert f.encode() == {"c": ["3/1", "0/1", "0/1", "0/1"],
                           "c_prime": ["-2/1", "0/1", "0/1", "0/1"]}

@@ -28,7 +28,8 @@ from polyred import (
     stabilizer,
     successors,
 )
-from polyred.reduction import _fiber_certificate, _fibers_full_mod_p, _split_residues
+from polyred.reduction import (_fiber_certificate, _fibers_full_mod_p, _root_order,
+                               _split_residues)
 from helpers import (compositions, rand_element, rand_irrational_map, rand_linear_map,
                      rand_rational_set, reduction_oracle_q, successor_oracle,
                      successors_candidate_oracle)
@@ -65,6 +66,17 @@ def test_compositions():
     assert sum(1 for _ in compositions(7, 3)) == 15
 
 
+def test_root_order_is_gamma_size_support_multiplicities():
+    """The witness order (gamma, |I|, I, e) on hand-made root data [(a, e)]
+    with a < b < c: I decides before e, e ascends, and gamma and |I| come
+    first."""
+    a, b, c = 0, 1, 2
+    assert _root_order(3, [(a, 2), (c, 1)]) < _root_order(3, [(b, 1), (c, 2)])
+    assert _root_order(3, [(a, 1), (b, 2)]) < _root_order(3, [(a, 2), (b, 1)])
+    assert _root_order(2, [(b, 1), (c, 1)]) < _root_order(3, [(a, 3)])
+    assert _root_order(3, [(c, 3)]) < _root_order(3, [(a, 1), (b, 2)])
+
+
 def test_check_exact_preimage(F12):
     sq = Poly(F12, [0, 0, 1])
     assert check_exact_preimage(sq, _fs(F12, [0, 1, -1, 2, -2]), _fs(F12, [0, 1, 4]))
@@ -85,6 +97,9 @@ def test_find_reductions_frozen_examples(F12):
     assert red[0].gamma == 2
 
     assert find_reductions(_fs(F12, [0, 1, 3, 7]), _fs(F12, [0, 1, 5])) == []
+    for A, B in (([0, 1, 2], [5]), ([0, 1], [0, 1, 2])):  # |B| < 2, |A| < |B|
+        with pytest.raises(ValueError):
+            find_reductions(_fs(F12, A), _fs(F12, B))
 
     red = find_reductions(roots_of_unity(F12, 4), _fs(F12, [1, -1]))
     polys = sorted([c.as_fraction() for c in r.poly.coeffs] for r in red)

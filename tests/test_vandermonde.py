@@ -51,6 +51,8 @@ def test_validations(F12):
     with pytest.raises(ValueError):
         build_enriched(4, (0, 0), [])
     with pytest.raises(ValueError):
+        build_enriched(4, (), [])  # no node
+    with pytest.raises(ValueError):
         build_enriched(4, (0, 0), [Fraction(1), Fraction(2)])
     with pytest.raises(ValueError):
         build_enriched(4, (0, 0), _nodes(F12, [1, 1]))
