@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from operator import mul
 
-from .field import CyclotomicField, FieldElement
-from .poly import _coerce
+from .field import CyclotomicField, FieldElement, _coerce
 
 
 class FiniteSubset:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import FiniteSubset
-from .field import CyclotomicField, FieldElement
-from .poly import LinearMap, _coerce
+from .field import CyclotomicField, FieldElement, _coerce
+from .poly import LinearMap
 from .reduction import stabilizer
 
 

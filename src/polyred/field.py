@@ -6,11 +6,12 @@ is a vector of integers plus a single positive denominator, normalized so the
 gcd of all entries and the denominator is 1; this makes the representation
 unique (equality is structural) and keeps the arithmetic in fast integer
 operations.  A rational element hashes like the int or Fraction it equals.
-Every element is built by a CyclotomicField method; element and
-element_from_encoding share one integer route, so parsing "p/q" builds no
-Fraction.  Fraction appears only at the boundary: the coords view (and so
-encode and str), as_fraction, and Fraction input to element and from_rational.
-The only rational scalars are int (not bool) and Fraction: TypeError otherwise.
+Every element is built by a CyclotomicField method, and every layer brings a
+scalar into a field through _coerce.  element and element_from_encoding
+share one integer route, so parsing "p/q" builds no Fraction.  Fraction
+appears only at the boundary: the coords view (and so encode and str),
+as_fraction, and Fraction input to element and from_rational.  The only
+rational scalars are int (not bool) and Fraction: TypeError otherwise.
 
 Inversion is integer-only as well: for an integer vector v the field finds an
 integer vector P with v*P = n a nonzero integer, so 1/(v/den) = den*P/n.  P is
@@ -39,12 +40,10 @@ coordinate vector, each coordinate compared by rational value.  It is used
 everywhere a canonical ordering of field elements is needed (sorted sets,
 canonical invariants, deterministic tie-breaks).
 
-``embed`` is a double-precision display helper; nothing exact depends on it.
 The module uses the standard library only.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
@@ -146,7 +145,6 @@ class CyclotomicField:
         el.field = self
         el.num = num
         el.den = den
-        el._hash = None
         return el
 
     def _normalized(self, num: list[int], den: int) -> "FieldElement":
@@ -262,11 +260,15 @@ class CyclotomicField:
             pairs.append((int(p), int(q)))
         return self._from_pairs(pairs)
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=None, typed=True)
     def split_prime(self, index: int) -> "_SplitPrime":
         """The index-th prime p = 1 (mod N) below 2^30, counting down, with a
         primitive N-th root of unity w modulo p.  Cached on (field, index), so
-        equal fields share it."""
+        equal fields share it, and typed, so True and 1.0 miss the entry of 1."""
+        if type(index) is not int:
+            raise TypeError(f"split prime index must be an int, got {index!r}")
+        if index < 0:
+            raise ValueError(f"split prime index must be >= 0, got {index!r}")
         n = self.order
         p = self.split_prime(index - 1).p - n if index else (2 ** 30 - 2) // n * n + 1
         while not _is_prime(p):
@@ -279,7 +281,7 @@ class CyclotomicField:
         return isinstance(other, CyclotomicField) and other.order == self.order
 
     def __hash__(self):
-        return hash(("CyclotomicField", self.order))
+        return hash(self.order)
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"
@@ -291,6 +293,15 @@ def _check_same_field(a, b):
     if a.field.order != b.field.order:
         raise FieldMismatchError(
             f"mixed fields Q(zeta_{a.field.order}) and Q(zeta_{b.field.order})")
+
+
+def _coerce(field: CyclotomicField, c) -> "FieldElement":
+    if isinstance(c, FieldElement):
+        if c.field.order != field.order:
+            raise FieldMismatchError(
+                f"mixed fields Q(zeta_{field.order}) and Q(zeta_{c.field.order})")
+        return c
+    return field.from_rational(c)
 
 
 def _power(a, e: int, mul):
@@ -444,15 +455,12 @@ class FieldElement:
     """Immutable element of a CyclotomicField, built by the field's methods;
     supports +, -, *, /, **, and a total order."""
 
-    __slots__ = ("field", "num", "den", "_hash")
+    __slots__ = ("field", "num", "den")
 
     # -- coercion ------------------------------------------------------------
     def _co(self, other):
-        if isinstance(other, FieldElement):
-            _check_same_field(self, other)
-            return other
-        if _is_rational(other):
-            return self.field.from_rational(other)
+        if isinstance(other, FieldElement) or _is_rational(other):
+            return _coerce(self.field, other)
         return None
 
     # -- predicates ----------------------------------------------------------
@@ -605,30 +613,16 @@ class FieldElement:
     def __hash__(self):
         # A rational element equals its int or Fraction value, so it takes
         # that value's hash.
-        if self._hash is None:
-            if not self.is_rational():
-                self._hash = hash((self.field.order, self.num, self.den))
-            elif self.den == 1:
-                self._hash = hash(self.num[0])
-            else:
-                self._hash = hash(Fraction(self.num[0], self.den))
-        return self._hash
+        if not self.is_rational():
+            return hash((self.field.order, self.num, self.den))
+        if self.den == 1:
+            return hash(self.num[0])
+        return hash(Fraction(self.num[0], self.den))
 
     def __bool__(self):
         return not self.is_zero()
 
     # -- numeric --------------------------------------------------------------
-    def embed(self) -> complex:
-        """Double-precision value at the principal embedding zeta -> e^(2*pi*i/N).
-
-        For display and tests only; never a source of exactness.
-        """
-        z = cmath.exp(2j * cmath.pi / self.field.order)
-        acc = 0j
-        for c in reversed(self.num):
-            acc = acc * z + c / self.den
-        return acc
-
     def sqrt(self) -> "FieldElement | None":
         """The square root of self in Q(zeta_N), or None, which proves that self
         is not a square.  Of the two roots +-y the larger in the total order is

@@ -14,19 +14,9 @@ package.
 """
 from __future__ import annotations
 
-from .field import (CyclotomicField, FieldElement, FieldMismatchError,
-                    _check_same_field, _is_rational)
+from .field import CyclotomicField, FieldElement, _check_same_field, _coerce, _is_rational
 
 NEG_INF = float("-inf")
-
-
-def _coerce(field: CyclotomicField, c) -> FieldElement:
-    if isinstance(c, FieldElement):
-        if c.field.order != field.order:
-            raise FieldMismatchError(
-                f"mixed fields Q(zeta_{field.order}) and Q(zeta_{c.field.order})")
-        return c
-    return field.from_rational(c)
 
 
 class Poly:

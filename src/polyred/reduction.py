@@ -33,8 +33,8 @@ from functools import reduce
 from operator import mul
 
 from .classes import ClassInvariant, FiniteSubset, canonical_invariant
-from .field import FieldElement, _check_same_field
-from .poly import LinearMap, Poly, _coerce
+from .field import FieldElement, _check_same_field, _coerce
+from .poly import LinearMap, Poly
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .field import CyclotomicField, FieldElement
-from .poly import _coerce
+from .field import CyclotomicField, FieldElement, _coerce
 
 
 @dataclass(frozen=True)

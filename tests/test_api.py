@@ -38,6 +38,14 @@ def test_elements_are_built_by_the_field(F4):
     with pytest.raises(TypeError):
         polyred.FieldElement(F4, [1, 0])
     assert F4.element([1, 0]) == F4.one()
+    # scalars enter a field by one route: _coerce, defined in field.py only
+    src = pathlib.Path(polyred.__file__).parent
+    defining = [path.stem for path in sorted(src.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.FunctionDef) and node.name == "_coerce"]
+    assert defining == ["field"]
+    for mod in ("poly", "classes", "reduction", "exceptional", "vandermonde"):
+        assert getattr(polyred, mod)._coerce is polyred.field._coerce, mod
 
 
 # Each module imports only from earlier layers; modules in one layer are

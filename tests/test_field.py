@@ -31,7 +31,7 @@ def test_make_field_is_cached_and_validated():
     assert make_field(12) is make_field(12)
     # fields are values: equal, and hashed alike, exactly when their orders are
     assert CyclotomicField(12) == make_field(12) and hash(CyclotomicField(12)) == hash(
-        make_field(12))
+        make_field(12)) == hash(12)
     assert CyclotomicField(12) != make_field(4) and make_field(12) != 12
     with pytest.raises(ValueError):
         make_field(0)
@@ -87,6 +87,10 @@ def test_prime_choices_pinned():
     """The split and sqrt primes are cached per field value, and each index
     keeps the prime it has always had."""
     assert CyclotomicField(12).split_prime(1) is make_field(12).split_prime(1)
+    for bad, error in ((True, TypeError), (1.0, TypeError), (1.5, TypeError),
+                       ("1", TypeError), (-1, ValueError)):
+        with pytest.raises(error):
+            make_field(12).split_prime(bad)
     for n, ps in ((4, (3, 7)), (12, (5, 7)), (13, (7, 11)), (105, (17, 23)),
                   (128, (3, 5))):
         assert tuple(_sqrt_prime(make_field(n), i).p for i in (0, 1)) == ps, n
@@ -303,18 +307,19 @@ def _l1(a):
 
 
 def test_embedding_matches_direct_sum(F12):
+    """+ and * agree with complex arithmetic at the principal embedding
+    zeta -> e^(2 pi i / 12), computed here from the coordinates."""
     rng = random.Random(53)
     zeta = cmath.exp(2j * cmath.pi / 12)
-    for _ in range(10):
-        a = _rand_elem(F12, rng, 5)
-        direct = sum(float(c) * zeta ** k for k, c in enumerate(a.coords))
-        assert abs(a.embed() - direct) <= 1e-12 * _l1(a)
-    # the embedding is a ring homomorphism up to double precision
+
+    def embed(a):
+        return sum(float(c) * zeta ** k for k, c in enumerate(a.coords))
+
     for _ in range(10):
         a = _rand_elem(F12, rng, 5)
         b = _rand_elem(F12, rng, 5)
-        assert abs((a + b).embed() - (a.embed() + b.embed())) <= 1e-12 * (_l1(a) + _l1(b))
-        assert abs((a * b).embed() - a.embed() * b.embed()) <= 1e-12 * _l1(a) * _l1(b)
+        assert abs(embed(a + b) - (embed(a) + embed(b))) <= 1e-12 * (_l1(a) + _l1(b))
+        assert abs(embed(a * b) - embed(a) * embed(b)) <= 1e-12 * _l1(a) * _l1(b)
 
 
 def test_sqrt_known_values(F4, F8, F12):
@@ -434,13 +439,15 @@ def test_import_loads_no_third_party_module():
     code = ("import sys; before = set(sys.modules); import polyred, polyred.cli; "
             "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
             "print(sorted(new - set(sys.stdlib_module_names) - {'polyred'})); "
-            "print('mpmath' in sys.modules)")
+            "print('mpmath' in sys.modules, 'cmath' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout.split("\n")
-    assert out[:2] == ["[]", "False"]
+    assert out[:2] == ["[]", "False False"]
 
 
 def test_hash_consistent_with_equality(F12):
+    # an element is its field, numerators and denominator; no hash is cached
+    assert FieldElement.__slots__ == ("field", "num", "den")
     a = F12.from_rational(Fraction(3, 7))
     b = F12.from_rational(Fraction(6, 14))
     assert a == b and hash(a) == hash(b)

@@ -223,9 +223,10 @@ def nullspace_calls(monkeypatch):
 @pytest.mark.parametrize("order", [12, 16])
 def test_rank_mod_p_against_kernel_and_sympy(order, nullspace_calls):
     """exact_rank equals the kernel rank and sympy's rank on tall, wide,
-    rank-deficient, zero-column and bad-prime matrices; it falls back to the
-    exact kernel exactly when the rank is below min(rows, cols) or the split
-    prime divides a denominator."""
+    rank-deficient, zero-column, bad-prime and deficient-mod-p matrices; it
+    falls back to the exact kernel exactly when the rank is below
+    min(rows, cols), the split prime divides a denominator, or the rank
+    modulo p falls short of a full exact rank."""
     F = make_field(order)
     p = F.split_prime(0).p
     rng = random.Random(order)
@@ -233,7 +234,7 @@ def test_rank_mod_p_against_kernel_and_sympy(order, nullspace_calls):
     def entry():
         return rand_element(F, rng, span=3) / rng.randint(1, 4)
 
-    for shape in ("tall", "wide", "deficient", "zero column", "bad prime") * 5:
+    for shape in ("tall", "wide", "deficient", "zero column", "bad prime", "mod p") * 5:
         if shape == "tall":
             n = rng.randint(1, 3)
             m = n + rng.randint(1, 2)
@@ -243,6 +244,8 @@ def test_rank_mod_p_against_kernel_and_sympy(order, nullspace_calls):
         elif shape == "deficient":
             m = rng.randint(2, 4)
             n = rng.randint(m, 5)
+        elif shape == "mod p":
+            m = n = rng.randint(2, 4)
         else:
             m, n = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[entry() for _ in range(n)] for _ in range(m)]
@@ -258,13 +261,20 @@ def test_rank_mod_p_against_kernel_and_sympy(order, nullspace_calls):
             m = n = min(m, n)
             rows = [r[:n] for r in rows[:m]]
             rows[rng.randrange(m)][rng.randrange(n)] = F.from_rational(Fraction(1, p))
+        elif shape == "mod p":  # [[1, 1], [1, 1 + p]] above a unit triangle: det p
+            rows[0][:2] = [F.one(), F.one()]
+            rows[1][:2] = [F.one(), F.from_rational(1 + p)]
+            for i in range(2, n):
+                rows[i][:i + 1] = [F.zero()] * i + [F.one()]
         before = len(nullspace_calls)
         rank = exact_rank(rows)
         fell_back = len(nullspace_calls) - before
         assert rank == n - len(nullspace(rows)) == _rank_over_q(rows)
-        assert fell_back == (rank < min(m, n) or shape == "bad prime")
-        if shape in ("deficient", "bad prime"):
+        assert fell_back == (rank < min(m, n) or shape in ("bad prime", "mod p"))
+        if shape in ("deficient", "bad prime", "mod p"):
             assert fell_back == 1
+        if shape == "mod p":
+            assert rank == n
 
 
 def test_full_rank_instances_never_fall_back(F12, nullspace_calls):
