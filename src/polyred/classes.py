@@ -150,7 +150,7 @@ class ClassInvariant:
         return {"n": self.n, "lambdas": [l.encode() for l in self.lambdas]}
 
     def key(self) -> str:
-        """Byte-stable serialization, usable as a deduplication key."""
+        """Byte-stable rendering for display and output order, not a class key."""
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 

@@ -101,6 +101,8 @@ def generate_exceptional(field: CyclotomicField, r: int, s: int,
     of its seed under X -> eps*X + c; the shared barycenter c/(1 - eps) is
     appended when requested.  Degenerate parameters that collide two vertices
     are rejected."""
+    if type(r) is not int or type(s) is not int:
+        raise TypeError(f"gon order and count must be ints, got r={r!r}, s={s!r}")
     if r < 2:
         raise ValueError("gon order r must be at least 2")
     if s < 1:
@@ -134,6 +136,8 @@ def order2_criterion(B: FiniteSubset, pairing) -> bool:
     permutation in the stabilizer for order-2 candidates."""
     n = len(B)
     p = list(pairing)
+    if any(type(i) is not int for i in p):
+        raise TypeError(f"pairing indices must be ints, got {p!r}")
     if sorted(p) != list(range(n)) or any(p[p[i]] != i for i in range(n)):
         raise ValueError("pairing must be an involution of the index set")
     if all(p[i] == i for i in range(n)):

@@ -244,6 +244,8 @@ class CyclotomicField:
 
     def zeta(self, power: int = 1) -> "FieldElement":
         """zeta_N^power for any integer power: row power mod N of the power table."""
+        if type(power) is not int:
+            raise TypeError(f"zeta power must be an int, got {power!r}")
         row = dict(self._rows[power % self.order])
         return self._make(tuple(row.get(i, 0) for i in range(self.degree)), 1)
 
@@ -270,11 +272,10 @@ class CyclotomicField:
         if index < 0:
             raise ValueError(f"split prime index must be >= 0, got {index!r}")
         n = self.order
-        p = self.split_prime(index - 1).p - n if index else (2 ** 30 - 2) // n * n + 1
-        while not _is_prime(p):
-            p -= n
-            if p < 2:
-                raise ArithmeticError(f"no split prime left for Q(zeta_{n})")
+        primes = _primes((2 ** 30 - 2) // n * n + 1, -n)
+        p = next(itertools.islice(primes, index, None), None)
+        if p is None:
+            raise ArithmeticError(f"no split prime left for Q(zeta_{n})")
         return _SplitPrime(self, p)
 
     def __eq__(self, other):
@@ -350,6 +351,15 @@ def _is_prime(p: int) -> bool:
     return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
 
 
+def _primes(p: int, step: int):
+    """The primes of p, p + step, p + 2*step, ..., in that order, until the
+    walk falls below 2; callers take the index-th by a loop, not recursion."""
+    while p >= 2:
+        if _is_prime(p):
+            yield p
+        p += step
+
+
 class _SqrtPrime:
     """The ring F_p[zeta] = Z[zeta]/p for an odd prime p, p not dividing N, of
     order f modulo N.  Phi_N is squarefree modulo p, because p does not divide
@@ -407,10 +417,8 @@ def _sqrt_prime(field: "CyclotomicField", index: int) -> _SqrtPrime:
     of the unit chain, 1 when N <= 2."""
     n, chain = field.order, _unit_chain(field.order)
     exponent = chain[0][1] if chain else 1
-    p = _sqrt_prime(field, index - 1).p + 2 if index else 3
-    while not (n % p and _is_prime(p) and _multiplicative_order(p, n) == exponent):
-        p += 2
-    return _SqrtPrime(field, p, exponent)
+    good = (p for p in _primes(3, 2) if n % p and _multiplicative_order(p, n) == exponent)
+    return _SqrtPrime(field, next(itertools.islice(good, index, None)), exponent)
 
 
 @lru_cache(maxsize=None)
@@ -430,17 +438,10 @@ class _SplitPrime:
     __slots__ = ("p", "powers")
 
     def __init__(self, field: "CyclotomicField", p: int):
-        n = field.order
-        t = (p - 1) // n
-        factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
-        g = 2
-        while True:
-            w = pow(g, t, p)
-            if all(pow(w, n // q, p) != 1 for q in factors):
-                break
-            g += 1
-        self.p = p
-        self.powers = [pow(w, j, p) for j in range(field.degree)]
+        n, t = field.order, (p - 1) // field.order
+        w = next(w for w in (pow(g, t, p) for g in itertools.count(2))
+                 if _multiplicative_order(w, p) == n)
+        self.p, self.powers = p, [pow(w, j, p) for j in range(field.degree)]
 
     def residue(self, x: "FieldElement") -> int | None:
         """x = v/den modulo p under zeta -> w, or None when p divides den."""
@@ -583,8 +584,11 @@ class FieldElement:
         """
         if limit is None:
             limit = math.lcm(2, self.field.order)
-        p = self
-        one = self.field.one()
+        elif type(limit) is not int:
+            raise TypeError(f"order limit must be an int, got {limit!r}")
+        if limit < 1:
+            raise ValueError(f"order limit must be >= 1, got {limit!r}")
+        p, one = self, self.field.one()
         for k in range(1, limit + 1):
             if p == one:
                 return k

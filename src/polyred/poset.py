@@ -49,40 +49,35 @@ class PosetReport:
 def build_poset(sets: dict) -> PosetReport:
     """Quotient the labeled sets by equivalence, then compute the relation.
 
-    Nodes are classes (least member label as representative); an edge records
-    the lowest-degree witness found.  It needs no re-verification:
-    find_reductions and singleton_reduction build a Reduction only from a
-    passing fiber certificate of (P, A, target).  The relation is
-    transitively closed because reducibility is, so the diagram edges are
-    just the non-composite pairs.
+    Nodes are classes, found by invariant value, in the order of their least
+    member label, the representative.  An edge records the lowest-degree
+    witness found; it needs no re-verification, since find_reductions and
+    singleton_reduction build a Reduction only from a passing fiber
+    certificate of (P, A, target).  Reducibility is transitive, so the
+    relation is closed and the diagram edges are the non-composite pairs.
     """
     if not sets:
         raise ValueError("poset needs at least one set")
-    by_key: dict = {}
-    invs = {}
+    classes: dict = {}  # invariant -> its labels, ascending
     for label in sorted(sets):
-        inv = canonical_invariant(sets[label])
-        invs[label] = inv
-        by_key.setdefault(inv.key(), []).append(label)
+        classes.setdefault(canonical_invariant(sets[label]), []).append(label)
     nodes = []
-    reps = []
-    for key, labels in sorted(by_key.items(), key=lambda kv: min(kv[1])):
-        rep = min(labels)
-        A = sets[rep]
+    for inv, labels in classes.items():  # in the order of least labels
+        A = sets[labels[0]]
         n = len(A)
         chi = exceptional = None
         if n >= 3:  # chi = n!/|G_A| and exceptionality share one search
             order = stabilizer(A).order
             chi, exceptional = math.factorial(n) // order, order > 1
         nodes.append({
-            "label": rep,
-            "members": sorted(labels),
+            "label": labels[0],
+            "members": labels,
             "n": n,
-            "invariant": invs[rep].to_json_obj(),
+            "invariant": inv.to_json_obj(),
             "chi": chi,
             "exceptional": exceptional,
         })
-        reps.append(rep)
+    reps = [node["label"] for node in nodes]
     relation = []
     succ: dict = {rep: set() for rep in reps}
     for ra in reps:

@@ -432,11 +432,11 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
     residues and base = prod (X - x_i)^e_i modulo a split prime q: a node
     costs one multiplication per point and one step of base by X - x_i.
     The nodes of gamma >= 2 that pass the window and fiber tests mod q meet,
-    in (gamma, |I|, I, e) order, their exact images, the dedup by canonical
-    invariant of W = {0} U images, and the exact preimage certificate.  So
-    only a candidate of a new class is certified, and each class's witness
-    is its certified candidate of least (gamma, |I|, I, e).  [A] and the
-    singleton class are appended as trivial entries.
+    in (gamma, |I|, I, e) order, their exact images, the lookup of W =
+    {0} U images by the value of its canonical invariant, and the exact
+    preimage certificate.  So only a candidate of a new class is certified,
+    and each class's witness is its certified candidate of least (gamma,
+    |I|, I, e).  [A] and the singleton class are trivial entries.
 
     Both tests run modulo the first split prime q that is good for A
     (_split_residues): every denominator is prime to q and A's residues are
@@ -480,11 +480,9 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
         raise ValueError("successor enumeration needs at least 2 elements")
     if max_degree is not None and (type(max_degree) is not int or max_degree < 1):
         raise ValueError(f"max_degree must be an int >= 1, got {max_degree!r}")
-    out: dict[str, SuccessorClass] = {}
-    self_inv = canonical_invariant(A)
-    out[self_inv.key()] = SuccessorClass(self_inv, None, True)
-    sigma1 = ClassInvariant(1, ())
-    out[sigma1.key()] = SuccessorClass(sigma1, None, True)
+    out: dict[ClassInvariant, SuccessorClass] = {}
+    for inv in (canonical_invariant(A), ClassInvariant(1, ())):
+        out[inv] = SuccessorClass(inv, None, True)
     field, xs = A.field, A.elems
     top = m - 1 if max_degree is None else min(m - 1, max_degree)
     half = min(top, (m - 1) // 2)  # above it every candidate's W is a 2-set
@@ -517,15 +515,14 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
                   for t, x in enumerate(xs) if t not in support]
         W = FiniteSubset(field, {field.zero(), *values})
         inv = canonical_invariant(W)
-        key = inv.key()
-        if key in out:
+        if inv in out:
             continue
         c = values[0].inverse()
         P = Poly.from_roots(field, [(xs[i], e) for i, e in roots]) * c
         B = FiniteSubset(field, [c * w for w in W.elems])
         fibers = _fiber_certificate(P, A, B)
         if fibers is not None:
-            out[key] = SuccessorClass(inv, Reduction(P, A, B, gamma, fibers), False)
+            out[inv] = SuccessorClass(inv, Reduction(P, A, B, gamma, fibers), False)
     if m > 2:  # for m = 2 the 2-set class is [A]
         pair = FiniteSubset(field, [0, 1])
         for gamma in range(half + 1, top + 1):
@@ -533,7 +530,7 @@ def successors(A: FiniteSubset, max_degree: int | None = None) -> list:
             if found:
                 two = ClassInvariant(2, ())
                 witness = min(found, key=lambda r: _root_order(r.gamma, r.fibers[0][1]))
-                out[two.key()] = SuccessorClass(two, witness, False)
+                out[two] = SuccessorClass(two, witness, False)
                 break
     return sorted(out.values(), key=lambda sc: (sc.invariant.n, sc.invariant.key()))
 

@@ -133,6 +133,11 @@ def test_generate_validations(F12):
     with pytest.raises(ValueError):
         generate_exceptional(F12, 2, 1, 6, [Fraction(0)], Fraction(0),
                              include_barycenter=True)
+    # the gon order, the gon count and the exponent are ints, bool excluded
+    for r, s, exp in ((2, True, 6), (2.0, 1, 6), (True, 1, 6), (2, 1.0, 6),
+                      (2, 1, 6.0), (2, 1, True)):
+        with pytest.raises(TypeError):
+            generate_exceptional(F12, r, s, exp, [one], -one)
 
 
 def test_chi_of_generated_sets(F12):
@@ -157,6 +162,10 @@ def test_order2_criterion(F12):
         order2_criterion(B, [1, 2, 0, 3])  # 3-cycle, not an involution
     with pytest.raises(ValueError):
         order2_criterion(B, [0, 1])
+    with pytest.raises(TypeError):
+        order2_criterion(_fs(F12, [0, 1]), [True, False])  # bools are not indices
+    with pytest.raises(TypeError):
+        order2_criterion(B, [3.0, 2, 1, 0])
 
 
 def test_order2_criterion_matches_stabilizer(F12):

@@ -61,6 +61,15 @@ def test_zeta_powers_and_orders(F12, monkeypatch):
     for bad in (True, False, 2.0):
         with pytest.raises(TypeError):
             z ** bad
+    for bad in (True, False, 1.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            F12.zeta(bad)
+        with pytest.raises(TypeError):
+            z.multiplicative_order(bad)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            z.multiplicative_order(bad)
+    assert z.multiplicative_order(1) is None and F12.one().multiplicative_order(1) == 1
     # zeta is a root of the modulus
     acc = F12.zero()
     for c in reversed(F12.modulus):
@@ -96,6 +105,19 @@ def test_prime_choices_pinned():
         assert tuple(_sqrt_prime(make_field(n), i).p for i in (0, 1)) == ps, n
     for n, ps in ((4, (1073741789, 1073741741)), (105, (1073740501, 1073739451))):
         assert tuple(make_field(n).split_prime(i).p for i in (0, 1)) == ps, n
+    # the root w = g^((p-1)/N) of split_prime(0), g the least base that makes it primitive
+    for n, w in ((4, 933053945), (12, 414888689), (16, 114739670), (105, 699551916)):
+        assert make_field(n).split_prime(0).powers[1] == w, n
+    # a high index on a cold cache walks its progression without recursion
+    assert CyclotomicField(8).split_prime(700).p == 1073684761
+    assert _sqrt_prime(CyclotomicField(4), 700).p == 11467  # the 701st prime 3 mod 4
+    assert _sqrt_prime(CyclotomicField(12), 700).p == 7211  # the 701st prime > 3, not 1 mod 12
+
+    class HugeOrder:  # Q(zeta_(2^29)): 2^29 + 1 is divisible by 3, and 1 is no prime
+        order = 2 ** 29
+
+    with pytest.raises(ArithmeticError):
+        CyclotomicField.split_prime(HugeOrder(), 0)
 
 
 def test_rational_arithmetic_matches_fractions(F12):
