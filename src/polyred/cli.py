@@ -83,7 +83,7 @@ def _parse_elements(field, arr, where) -> list:
 def parse_set_text(text: str) -> SetFile:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SetFileError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise SetFileError("top level must be an object")
@@ -132,7 +132,7 @@ def _get(sf: SetFile, label: str) -> FiniteSubset:
 def _json_arg(text: str, flag: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise SetFileError(f"{flag}: invalid JSON: {e}") from e
 
 

@@ -14,7 +14,7 @@ package.
 """
 from __future__ import annotations
 
-from .field import CyclotomicField, FieldElement, _check_same_field, _coerce, _is_rational
+from .field import CyclotomicField, FieldElement, _coerce, _is_rational
 
 NEG_INF = float("-inf")
 
@@ -142,16 +142,17 @@ class Poly:
 
 
 class LinearMap:
-    """Degree-1 polynomial c*X + c', the invertible maps of the affine line."""
+    """Degree-1 polynomial c*X + c', the invertible maps of the affine line.
+    The slope is an element; the intercept is coerced into its field."""
 
     __slots__ = ("slope", "intercept")
 
-    def __init__(self, slope: FieldElement, intercept: FieldElement):
+    def __init__(self, slope: FieldElement, intercept):
+        if not isinstance(slope, FieldElement):
+            raise TypeError(f"linear map slope must be a field element, got {slope!r}")
         if slope.is_zero():
             raise ValueError("linear map needs nonzero slope")
-        _check_same_field(slope, intercept)
-        self.slope = slope
-        self.intercept = intercept
+        self.slope, self.intercept = slope, _coerce(slope.field, intercept)
 
     @classmethod
     def identity(cls, field: CyclotomicField) -> "LinearMap":

@@ -9,14 +9,15 @@ multiplicities by synthetic division, and every witness it is given is built
 as b + c*prod(X - a)^e by Poly.from_roots.
 
 find_reductions enumerates assignments of A's elements to B's elements fiber
-by fiber, as an incremental Newton interpolation modulo a split prime
-p = 1 (mod N), zeta -> w (field.split_prime), that is good for (A, B).  Only
-the leaves that pass every test mod p build an exact P, from the roots of
-one fiber, and certify it.  _search_degree proves that no witness is lost
-and that P is the leaf's interpolant whenever either is a witness.  Equal
-cardinalities are the window {1}: linear_maps_between, equivalent,
-stabilizer and chi read the linear maps of A onto B off find_reductions.
-Onto a 2-set {b0, b1} the mirror X -> b0 + b1 - X halves the tree.
+by fiber, carrying the interpolant of the values assigned so far as one
+ascending coefficient list modulo a split prime p = 1 (mod N), zeta -> w
+(field.split_prime), that is good for (A, B).  Only the leaves that pass
+every test mod p build an exact P, from the roots of one fiber, and certify
+it.  _search_degree proves that no witness is lost and that P is the leaf's
+interpolant whenever either is a witness.  Equal cardinalities are the
+window {1}: linear_maps_between, equivalent, stabilizer and chi read the
+linear maps of A onto B off find_reductions.  Onto a 2-set {b0, b1} the
+mirror X -> b0 + b1 - X halves the tree.
 
 successors walks the root data of a prospective witness (a support in A
 with multiplicities) depth-first up to degree (m-1)/2, which forces n >= 3.
@@ -178,25 +179,36 @@ def _fibers_full_mod_p(poly: list, fibers, p: int):
     return out
 
 
+def _horner(q: list, x: int, p: int) -> int:
+    """q (ascending, over F_p) at x, by Horner's rule."""
+    acc = 0
+    for c in reversed(q):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
                    first_only: bool, residues) -> list:
     """Every degree-gamma reduction from A onto B, in tree order, as a list.
 
     rec assigns targets to the first gamma+1 elements of A, at most gamma to
-    each target, carrying divided differences modulo the good split prime p
-    of residues = (p, A mod p, B mod p); the other values are forced.  A leaf
-    is rejected when, mod p, the leading coefficient vanishes, a forced value
-    is not a residue of B, or some fiber's multiplicities (counted by
-    synthetic division of P - b) do not sum to gamma.  Each survivor builds
-    one exact P = b0 + c*prod(X - a)^e from the fiber of x_0's target b0,
-    with the multiplicities e the leaf counted mod p and
-    c = (b_t - b0)/prod(x_t - a)^e, x_t the first point outside that fiber
-    and b_t its target; _fiber_certificate then accepts or rejects P.  The
-    inverse of prod(x_t - a)^e is computed once per (t, fiber, e).
+    each target, and carries the interpolant L of the values assigned so far
+    as one ascending coefficient list modulo the good split prime p of
+    residues = (p, A mod p, B mod p); the other values are forced.  Sending
+    x_d to v adds c*W_d to L, where W_d = prod_{t<d} (X - x_t) vanishes at
+    x_0..x_{d-1} and c = (v - L(x_d))/W_d(x_d), W_d(x_d) a p-unit as A's
+    residues are pairwise distinct.  A leaf is rejected when, mod p, the
+    leading coefficient of L vanishes, a forced value L(x_i) is not a residue
+    of B, or some fiber's multiplicities (counted by synthetic division of
+    L - b) do not sum to gamma.  Each survivor builds one exact
+    P = b0 + c*prod(X - a)^e from the fiber of x_0's target b0, with the
+    multiplicities e the leaf counted mod p and c = (b_t - b0)/prod(x_t - a)^e,
+    x_t the first point outside that fiber and b_t its target;
+    _fiber_certificate then accepts or rejects P.
 
     The degree window m/n <= gamma <= (m-1)/(n-1) decides three checks, so
     they are not run.  No forced value overfills a fiber: with the lead
-    nonzero mod p, P - b has at most gamma roots among A's distinct residues.
+    nonzero mod p, L - b has at most gamma roots among A's distinct residues.
     Every leaf is onto: an empty fiber would need m <= (n-1)gamma <= m-1.
     No prefix leaves too few elements to reach every target: that needs
     more than m-n repeated targets, but a prefix (gamma+1 values, at most
@@ -205,23 +217,25 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
 
     This loses no witness.  For a witness P and b in B, P - b = c*prod(X - a)^e
     over the fiber of b, and c = (b' - b)/prod(a' - a)^e for a' in another
-    fiber.  At a good p all these differences are p-units, so P is p-integral,
-    its Newton coefficients reduce to the ones computed here, and P - b
-    reduces to c*prod(X - a)^e with c nonzero and the a pairwise distinct:
-    the reduction passes every test with the same fibers and multiplicities.
+    fiber.  At a good p all these differences are p-units, so P is p-integral
+    and reduces to the leaf's L, the one polynomial mod p of degree at most
+    gamma through the residues of its gamma+1 free points; P - b reduces to
+    c*prod(X - a)^e with c nonzero and the a pairwise distinct: the reduction
+    passes every test with the same fibers and multiplicities.
     find_reductions passes the first good prime (_split_residues): a bad one
     is skipped, never searched.
 
-    The built P is the leaf's Newton interpolant N whenever either is a
-    witness.  The leaf polynomial L mod p is b0 + lead*prod(X - a)^e, and P
-    reduces to b0 + c*prod(X - a)^e with prod(x_t - a)^e a p-unit; both take
-    b_t at x_t, so c = lead mod p and P reduces to L.  If P certifies, each
-    P(x_i) is the target whose residue L(x_i) is, so P has the leaf's
-    assignment; of degree gamma through gamma+1 assigned points, P = N.  If N
-    is a witness, the argument above gives it, at x_0's fiber, exactly the
-    multiplicities e counted mod p, so N - b0 = c'*prod(X - a)^e, and
-    evaluating at x_t gives c' = c: N = P.  So the outputs, and the
-    certificates run, are those of certifying N at every surviving leaf.
+    The built P is the leaf's exact interpolant N (degree at most gamma
+    through its free assignment) whenever either is a witness.  L is
+    b0 + l*prod(X - a)^e mod p, l its leading coefficient, and P reduces to
+    b0 + c*prod(X - a)^e with prod(x_t - a)^e a p-unit; both take b_t at x_t,
+    so c = l mod p and P reduces to L.  If P certifies, each P(x_i) is the
+    target whose residue L(x_i) is, so P has the leaf's assignment; of degree
+    gamma through gamma+1 assigned points, P = N.  If N is a witness, the
+    argument above gives it, at x_0's fiber, exactly the multiplicities e
+    counted mod p, so N - b0 = c'*prod(X - a)^e, and evaluating at x_t gives
+    c' = c: N = P.  So the outputs, and the certificates run, are those of
+    certifying N at every surviving leaf.
 
     Onto B = {b0, b1}, x_0 tries b0 only; without first_only each certified
     P is followed by its mirror b0 + b1 - P, fibers swapped.  X -> b0 + b1 - X
@@ -235,39 +249,28 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
     m, nb = len(xs), len(targets)
     p, xr, br = residues
     k = gamma + 1  # free prefix; the remaining m - k values are forced
-    invd = [[pow(xr[i] - xr[j], -1, p) for j in range(i)] for i in range(k)]
-    # diffs[i - k][t] = x_i - x_t, for Newton evaluation at a forced element
-    diffs = [[(xr[i] - xr[t]) % p for t in range(k - 1)] for i in range(k, m)]
+    W = [[1]]  # W[d] = prod_{t<d} (X - x_t) mod p, ascending
+    for x in xr[:gamma]:
+        W.append([(lo - x * hi) % p for lo, hi in zip([0, *W[-1]], [*W[-1], 0])])
+    inv = [pow(_horner(w, x, p), -1, p) for w, x in zip(W, xr)]
     index = {b: j for j, b in enumerate(br)}
     counts = [0] * nb
     path = []  # target index of each free element
     inverses = {}  # 1/prod(x_t - a)^e by (t, fiber indices, multiplicities)
     out = []
 
-    def rec(depth: int, dd: list, coeffs: list) -> None:
+    def rec(depth: int, poly: list) -> None:
         if first_only and out:
             return
         if depth == k:
-            lead = coeffs[-1]
-            if not lead:
+            if not poly[-1]:
                 return  # degree below gamma mod p; a witness's lead is a p-unit
             assign = path[:]
-            for d in diffs:
-                v = lead
-                for t in range(k - 2, -1, -1):
-                    v = (v * d[t] + coeffs[t]) % p
-                j = index.get(v)
+            for x in xr[k:]:
+                j = index.get(_horner(poly, x, p))
                 if j is None:
                     return  # a forced value off B
                 assign.append(j)
-            poly = [lead]  # the Newton form expanded, descending
-            for t in range(k - 2, -1, -1):
-                xt = xr[t]
-                nxt = poly + [coeffs[t]]
-                for i in range(1, len(nxt)):
-                    nxt[i] = (nxt[i] - xt * poly[i - 1]) % p
-                poly = nxt
-            poly.reverse()
             groups = [[] for _ in range(nb)]
             for i, j in enumerate(assign):
                 groups[j].append(xr[i])
@@ -292,22 +295,18 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
                     out.append(Reduction(Poly(field, [b0 + b1]) - P, A, B, gamma,
                                          ((b0, pre1), (b1, pre0))))
             return
-        row = invd[depth]
+        w, here = W[depth], _horner(poly, xr[depth], p)
         for j, v in enumerate(br if depth or nb != 2 else br[:1]):
             if counts[j] >= gamma:
                 continue  # a fiber of more than gamma elements
-            ndd = [v]
-            for t in range(depth):
-                ndd.append((ndd[t] - dd[t]) * row[depth - 1 - t] % p)
+            c = (v - here) * inv[depth] % p
             counts[j] += 1
             path.append(j)
-            coeffs.append(ndd[-1])
-            rec(depth + 1, ndd, coeffs)
-            coeffs.pop()
+            rec(depth + 1, [(a + c * b) % p for a, b in zip(poly, w)] + [c])
             path.pop()
             counts[j] -= 1
 
-    rec(0, [], [])
+    rec(0, [])
     return out
 
 

@@ -8,7 +8,8 @@ loop at every degree, the linear-map oracle tries the n(n-1) maps that
 send the two least source elements to an ordered pair of targets, the
 inverse oracle multiplies all phi(N) - 1 Galois conjugates one by one, and
 the invariant oracle takes the minimum over every full lambda-tuple, and
-the certificate oracle reads multiplicities off derivatives.  The
+the certificate oracle reads multiplicities off derivatives, and the
+top-degree pair oracle solves the Vandermonde kernel in closed form.  The
 oracles enumerate multiplicity vectors with their own helper, compositions.
 Agreement between these and the package routines is what the dual-route
 tests assert.
@@ -226,6 +227,39 @@ def reduction_oracle_q(A_vals, B_vals):
             found.add(tuple(coeffs))
     return found
 
+
+def top_degree_pair_oracle(A):
+    """Signed multiplicity vectors of the degree-(m-1) reductions of A onto
+    {0, 1}, in closed form, with no search.
+
+    A witness P is c*prod(X - a)^e_a over its 0-fiber I and
+    1 + c*prod(X - a)^f_a over its 1-fiber J; the monic products differ by a
+    constant, so (Newton's identities) x, with x_a = e_a on I and -f_a on J,
+    is an integer point of the kernel of the (m-1) x m Vandermonde matrix
+    (a^k), k < m-1, whose positive entries sum to m-1; conversely every such
+    point is a witness's.  That kernel is the line x_a = 1/w'(a), w'(a) = prod over
+    b != a of (a - b).  So with r_a = w'(a_0)/w'(a) there is no witness
+    unless every r_a is rational and, for l = (m-1)/(sum of the positive
+    r_a), every l*r_a is an integer; then x = l*r and its mirror -x are the
+    two witnesses.  Returns [] or [x, -x], indexed like A.elems.
+    """
+    xs = A.elems
+    dw = []
+    for a in xs:
+        d = A.field.one()
+        for b in xs:
+            if b != a:
+                d = d * (a - b)
+        dw.append(d)
+    r = [dw[0] / d for d in dw]
+    if not all(v.is_rational() for v in r):
+        return []
+    r = [v.as_fraction() for v in r]
+    scale = Fraction(len(xs) - 1) / sum(v for v in r if v > 0)
+    x = [scale * v for v in r]
+    if any(v.denominator != 1 for v in x):
+        return []
+    return [tuple(int(v) for v in x), tuple(-int(v) for v in x)]
 
 def linear_maps_oracle(A, B):
     """All degree-1 maps with P(A) = B for |A| = |B| >= 2, sorted by

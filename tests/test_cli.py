@@ -67,6 +67,8 @@ def test_parse_and_emit_round_trip(F12):
     '{"cyclotomic_order": 12, "sets": {"a": [["1/1","0/1"]]}}',
     '{"cyclotomic_order": 12, "sets": {"a": [["1/1","0/1","0/1","0/1"],'
     ' ["1/1","0/1","0/1","0/1"]]}}',
+    pytest.param('{"cyclotomic_order": 12, "sets": {"a": ' + "[" * 100_000
+                 + "]" * 100_000 + "}}", id="deep"),
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(SetFileError):
@@ -121,6 +123,9 @@ _GEN = ["gen-exceptional", "--field", "4", "-r", "2", "-s", "1",
     (_GEN + ["--base-vertices", '[["1/1", "0/1"]]',
              "--second-vertex", '["0/1", "1/0"]'], "--second-vertex"),
     (_VDM + ["--s-vec", "[true, false]", "--a-vec", "[]"], "--s-vec"),
+    # nested past the JSON decoder's recursion limit on every version
+    pytest.param(_VDM + ["--s-vec", "[" * 100_000 + "]" * 100_000, "--a-vec", "[]"],
+                 "--s-vec", id="deep---s-vec"),
 ])
 def test_argument_errors_name_the_flag(argv, flag, capsys):
     code, out, _ = _run(capsys, argv)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from polyred import NEG_INF, LinearMap, Poly
+from polyred import NEG_INF, FieldMismatchError, LinearMap, Poly, make_field
 
 
 def test_degree_and_normalization(F12):
@@ -108,3 +108,12 @@ def test_linear_map_algebra(F12):
     assert f.compose(LinearMap.identity(F12)) in {f} and hash(f.inverse().inverse()) == hash(f)
     assert f.encode() == {"c": ["3/1", "0/1", "0/1", "0/1"],
                           "c_prime": ["-2/1", "0/1", "0/1", "0/1"]}
+    # the intercept takes the one coercion route of Poly and FiniteSubset
+    assert LinearMap(F12.from_rational(Fraction(1, 2)), 1) == g
+    with pytest.raises(TypeError):
+        LinearMap(F12.one(), 1.5)
+    with pytest.raises(TypeError):
+        LinearMap(3, F12.one())
+    with pytest.raises(FieldMismatchError,
+                       match=r"^mixed fields Q\(zeta_12\) and Q\(zeta_4\)$"):
+        LinearMap(F12.one(), make_field(4).one())

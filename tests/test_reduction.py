@@ -29,10 +29,10 @@ from polyred import (
     successors,
 )
 from polyred.reduction import (_fiber_certificate, _fibers_full_mod_p, _root_order,
-                               _split_residues)
+                               _search_degree, _split_residues)
 from helpers import (compositions, rand_element, rand_irrational_map, rand_linear_map,
                      rand_rational_set, reduction_oracle_q, successor_oracle,
-                     successors_candidate_oracle)
+                     successors_candidate_oracle, top_degree_pair_oracle)
 
 
 def _fs(F, vals):
@@ -179,6 +179,43 @@ def test_find_reductions_against_interpolation_oracle(F1):
 def _coeff_fracs(reductions):
     return {tuple(c.as_fraction() for c in r.poly.coeffs) for r in reductions}
 
+
+def _signed_multiplicities(r):
+    """x_a = e_a over the fiber of 0 and -f_a over the fiber of 1, like A."""
+    (_, pre0), (_, pre1) = r.fibers
+    x = dict(pre0)
+    x.update((a, -f) for a, f in pre1)
+    return tuple(x[a] for a in r.source.elems)
+
+
+def test_top_degree_pair_search_matches_closed_form(F1, F4, F12):
+    """The degree-(m-1) search onto {0, 1} finds no witness where the closed
+    form of the Vandermonde kernel has none, and otherwise exactly the
+    witness with signed multiplicities x and its mirror with -x, at sizes
+    reduction_oracle_q cannot reach."""
+    F = Poly.from_roots(F1, [(1, 2), (4, 1)])
+    G = Poly.from_roots(F1, [(0, 1), (3, 2)])
+    assert F - G == Poly(F1, [-4])  # {0, 1, 3, 4}: 0-fiber G, 1-fiber F
+    assert top_degree_pair_oracle(_fs(F1, [0, 1, 3, 4])) == [(1, -2, 2, -1),
+                                                              (-1, 2, -2, 1)]
+    rng = random.Random(20261021)
+    cases = []
+    for field in (F1, F4, F12):
+        cases += [_fs(field, range(m)) for m in range(3, 13)]
+        cases.append(_fs(field, [0, 1, 3, 4]))
+        cases += [_fs(field, rng.sample(range(-6, 7), rng.randint(3, 7)))
+                  for _ in range(30)]
+    for N, d in ((3, 3), (4, 4), (8, 8), (12, 6), (12, 12)):
+        mu = roots_of_unity(make_field(N), d)
+        cases += [mu, FiniteSubset(mu.field, [0, *mu.elems])]
+    witnessed = 0
+    for A in cases:
+        pair = FiniteSubset(A.field, [0, 1])
+        found = _search_degree(A, pair, len(A) - 1, False, _split_residues(A, pair))
+        want = top_degree_pair_oracle(A)
+        assert sorted(map(_signed_multiplicities, found)) == sorted(want), A
+        witnessed += bool(want)
+    assert len(cases) == 133 and witnessed == 18
 
 def test_bad_split_prime_moves_to_next(F4):
     """Pairs that are bad at the first split prime p0 of Q(zeta_4) are
