@@ -132,13 +132,6 @@ def _anchor_inverses(diff):
             yield i2, i1, -dinv
 
 
-def _all_lambda_tuples(B: FiniteSubset):
-    """lambda_tuple over all n(n-1) ordered anchor pairs."""
-    diff = _differences(B)
-    for i1, i2, dinv in _anchor_inverses(diff):
-        yield _ratios(diff[i1], i1, i2, dinv)
-
-
 @dataclass(frozen=True)
 class ClassInvariant:
     """Complete invariant of a class: cardinality plus canonical lambda-tuple."""
@@ -198,7 +191,9 @@ def characteristic_lambda_points(B: FiniteSubset) -> set:
     n = len(B)
     if n < 3:
         raise ValueError("needs at least 3 elements")
-    return {perm for lams in _all_lambda_tuples(B) for perm in permutations(lams)}
+    diff = _differences(B)
+    return {perm for i1, i2, dinv in _anchor_inverses(diff)
+            for perm in permutations(_ratios(diff[i1], i1, i2, dinv))}
 
 
 def sigma3_coordinate(B: FiniteSubset) -> tuple[FieldElement, FieldElement]:

@@ -24,9 +24,9 @@ p of maximal order f modulo N, the ring F_p[zeta] = Z[zeta]/p is a product of
 g = phi(N)/f copies of F_q, q = p^f, and sqrt works in that ring with the
 field's own product reduced mod p and its own adjugate for 1/B.  Euler's
 criterion gives the idempotents of the copies, and Tonelli-Shanks runs in the
-ring, correcting only the copies that need it.  The 2^(g-1) sign patterns of
-the root modulo p are Hensel-lifted past a proven coefficient bound and
-checked exactly, so ``None`` proves that the element is not a square.
+ring, correcting only the copies that need it.  One Newton lift carries the
+root and the idempotents past a proven coefficient bound; the 2^(g-1) signed
+sums of the lifted parts are checked exactly, so ``None`` proves a non-square.
 
 A prime p = 1 (mod N) splits completely in Q(zeta_N): for a primitive N-th
 root of unity w modulo p, zeta -> w is a ring map Z[zeta] -> F_p.
@@ -659,14 +659,17 @@ class FieldElement:
         b <- b*r^2, c <- w^2, m <- j.  The order of b drops in every copy, so
         the loop ends at b = 1 and x^2 = a.
 
-        If Y^2 = B, then (1/Y)^2 = a modulo p.  In each copy F_q the unit a
-        has just the two roots +-x, so 1/Y = x * sum(+-e_i).  Fixing the sign
-        at e_1 picks 1/Y or -1/Y, and so leaves 2^(g-1) candidates.  Each is
-        lifted by Newton's step z <- z(3 - B z^2)/2 until p^k exceeds twice
-        the bound, and Y = B z in symmetric residues is accepted when it is
-        within the bound and Y*Y == B.  The lift of 1/Y mod p is unique, as p
-        is odd and B a unit, so a root of B is, up to sign, one of these
-        lifts, and when none is accepted B is not a square.
+        If Y^2 = B, then (1/Y)^2 = a modulo p, whose roots in each copy are
+        +-x, so 1/Y = x*S for S = sum(s_i e_i), s_i = +-1; fixing s_1 = 1
+        picks 1/Y or -1/Y.  Newton's step z <- z(3 - B z^2)/2 lifts x alone to
+        z mod p^k, p^k above twice the bound, and the same loop lifts e_i,
+        i > 1, to E_i by e <- 3e^2 - 2e^3.  Lifts are unique, p odd and B a
+        unit, so with E_1 = 1 - E_2 - ... - E_g the E_i are orthogonal
+        idempotents, S' = sum(s_i E_i) has S'^2 = 1, and z*S' lifts x*S:
+        Y = R - 2 sum(R E_i) for R = B z, over the i with s_i = -1.  Each Y,
+        in symmetric residues, is built a coordinate at a time, dropped at the
+        first beyond the bound, and accepted if Y*Y == B.  A root of B is, up
+        to sign, one of these, so when none is accepted B is not a square.
         """
         if self.is_zero():
             return self
@@ -692,38 +695,34 @@ class FieldElement:
             w = _power(c, 1 << (m - j - 1), mul)
             r = [(o - e + v) % p for o, e, v in zip(one, f, mul(f, w))]
             x, b, c, m = mul(x, r), mul(b, mul(r, r)), mul(w, w), j
-        terms = [mul(x, e) for e in sp.idempotents]
 
         l1 = sum(map(abs, B))
         root_l1 = math.isqrt(l1)
         root_l1 += root_l1 * root_l1 < l1
         bound = math.ceil(_sqrt_bound(fld) * root_l1)
-        k = 1
-        while p ** k <= 2 * bound:
-            k += 1
-        precisions = [k]  # each Newton step doubles the p-adic precision
-        while k > 1:
-            k = (k + 1) // 2
-            precisions.append(k)
-        levels = [(p ** k, [v % p ** k for v in B]) for k in reversed(precisions)]
-        top, B_top = levels[-1]
-
-        product = fld._product
-        for signs in itertools.product((1, -1), repeat=len(terms) - 1):
-            z = [0] * fld.degree
-            for sign, term in zip((1,) + signs, terms):
-                for j, c in enumerate(term):
-                    z[j] += sign * c
-            for m, B_m in levels[1:]:
-                z2 = [v % m for v in product(z, z)]
-                t = [-v % m for v in product(B_m, z2)]
-                t[0] += 3
-                z = [v * ((m + 1) // 2) % m for v in product(z, t)]
-            Y = [v % top for v in product(B_top, z)]
-            Y = [v - top if 2 * v > top else v for v in Y]
-            if all(abs(v) <= bound for v in Y) and product(Y, Y) == B:
-                y = fld._normalized(Y, self.den)
-                return max(y, -y)
+        k = next(k for k in itertools.count(1) if p ** k > 2 * bound)
+        top, product, h = p ** k, fld._product, p ** k // 2
+        B_top, z, parts = [v % top for v in B], x, sp.idempotents[1:]
+        for _ in range((k - 1).bit_length()):  # each step doubles the precision
+            z2 = [v % top for v in product(z, z)]
+            t = [-v % top for v in product(B_top, z2)]
+            t[0] += 3
+            z = [v * (h + 1) % top for v in product(z, t)]  # h + 1 = 1/2
+            squares = [[v % top for v in product(e, e)] for e in parts]
+            parts = [[(3 * u - 2 * v) % top for u, v in zip(e2, product(e2, e))]
+                     for e, e2 in zip(parts, squares)]
+        root = [v % top for v in product(B_top, z)]
+        columns = list(zip(root, *([v % top for v in product(root, e)] for e in parts)))
+        for weights in itertools.product((1,), *[(0, -2)] * len(parts)):
+            Y = []
+            for column in columns:
+                Y.append((sum(w * c for w, c in zip(weights, column)) + h) % top - h)
+                if abs(Y[-1]) > bound:
+                    break
+            else:
+                if product(Y, Y) == B:
+                    y = fld._normalized(Y, self.den)
+                    return max(y, -y)
         return None
 
     # -- display ----------------------------------------------------------------

@@ -9,16 +9,18 @@ send the two least source elements to an ordered pair of targets, the
 inverse oracle multiplies all phi(N) - 1 Galois conjugates one by one, and
 the invariant oracle takes the minimum over every full lambda-tuple, and
 the certificate oracle reads multiplicities off derivatives, and the
-top-degree pair oracle solves the Vandermonde kernel in closed form.  The
+top-degree pair oracle solves the Vandermonde kernel in closed form, and
+the square-root oracle lifts every sign pattern of the root mod p alone.  The
 oracles enumerate multiplicity vectors with their own helper, compositions.
 Agreement between these and the package routines is what the dual-route
 tests assert.
 """
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as cartesian
 
 from polyred import FiniteSubset, Poly
+from polyred.field import _sqrt_bound, _sqrt_prime
 
 
 def compositions(total: int, parts: int):
@@ -304,6 +306,72 @@ def inverse_oracle(x):
                     conj = conj + field.zeta(j * k) * c
             P = P * conj
     return P * (1 / (x * P).as_fraction())
+
+
+def sqrt_oracle(x):
+    """The larger square root of x in Q(zeta_N), or None, by one Hensel lift
+    per sign pattern.  With x = v/c and B = c*v, a = 1/B comes from
+    inverse_oracle and is read modulo the first sqrt prime p that does not
+    divide its denominator.  In each copy F_q of F_p[zeta], q - 1 = 2^s t,
+    the root of a is e_i * a^((t+1)/2) * sylow^j for some j < 2^s, found by
+    trial; a copy with none makes x a non-square.  Each of the 2^(g-1) sums
+    x_1 +- x_2 ... +- x_g is lifted on its own by Newton's step
+    z <- z(3 - B z^2)/2 modulo p^2, ..., p^ceil(k/2), p^k, and Y = B z in
+    symmetric residues mod p^k is accepted when within the coefficient bound
+    and Y*Y == B."""
+    if x.is_zero():
+        return x
+    field = x.field
+    B = [x.den * v for v in x.num]
+    inv = inverse_oracle(field.element(B))
+    index = 0
+    while inv.den % _sqrt_prime(field, index).p == 0:
+        index += 1
+    ring = _sqrt_prime(field, index)
+    p, mul = ring.p, ring.mul
+    a = [v * pow(inv.den, -1, p) % p for v in inv.num]
+    x0, base, e = [1] + [0] * (field.degree - 1), a, (ring.odd_part + 1) // 2
+    while e:
+        if e & 1:
+            x0 = mul(x0, base)
+        base, e = mul(base, base), e >> 1
+    terms = []
+    for idem in ring.idempotents:
+        target, r = mul(idem, a), mul(idem, x0)
+        for _ in range(1 << ring.two_adic):
+            if mul(r, r) == target:
+                terms.append(r)
+                break
+            r = mul(r, ring.sylow)
+        else:
+            return None
+
+    l1 = sum(map(abs, B))
+    bound = math.ceil(_sqrt_bound(field) * (math.isqrt(l1) + 1))
+    k = 1
+    while p ** k <= 2 * bound:
+        k += 1
+    precisions = [k]
+    while k > 1:
+        k = (k + 1) // 2
+        precisions.append(k)
+    levels = [(p ** k, [v % p ** k for v in B]) for k in reversed(precisions)]
+    top, B_top = levels[-1]
+    product = field._product
+    for signs in cartesian((1, -1), repeat=len(terms) - 1):
+        z = [sum(s * t[j] for s, t in zip((1,) + signs, terms))
+             for j in range(field.degree)]
+        for m, B_m in levels[1:]:
+            z2 = [v % m for v in product(z, z)]
+            t = [-v % m for v in product(B_m, z2)]
+            t[0] += 3
+            z = [v * ((m + 1) // 2) % m for v in product(z, t)]
+        Y = [v % top for v in product(B_top, z)]
+        Y = [v - top if 2 * v > top else v for v in Y]
+        if all(abs(v) <= bound for v in Y) and product(Y, Y) == B:
+            y = field.element([Fraction(v, x.den) for v in Y])
+            return max(y, -y)
+    return None
 
 
 def canonical_invariant_oracle(B):

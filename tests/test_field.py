@@ -15,7 +15,7 @@ import polyred
 from polyred import FieldMismatchError, make_field
 from polyred.field import (CyclotomicField, FieldElement, _multiplicative_order, _power,
                            _sqrt_prime, _unit_chain)
-from helpers import inverse_oracle
+from helpers import inverse_oracle, sqrt_oracle
 
 
 def test_cyclotomic_modulus_against_sympy():
@@ -419,18 +419,41 @@ def test_sqrt_of_square_is_the_larger_root():
         assert fractional
 
 
+def test_sqrt_matches_per_pattern_lift_oracle():
+    """sqrt lifts one root and reads every sign pattern off lifted
+    idempotents; sqrt_oracle lifts each pattern alone.  Both give None or
+    the same larger root on y^2, zeta*y^2 and y^2 + 1 (g <= 8)."""
+    rng = random.Random(101)
+    cases = []
+    for n in (1, 3, 4, 8, 12, 15, 16, 20, 21, 24, 40, 60):
+        F = make_field(n)
+        y = _rand_elem(F, rng, 5)
+        cases += [y * y, F.zeta() * y * y, y * y + 1]
+    y = _rand_elem(make_field(120), rng, 5)
+    cases += [y * y, y * y + 1]
+    for x in cases:
+        assert x.sqrt() == sqrt_oracle(x), x.field
+
+
 def test_sqrt_decides_in_large_fields_within_budget():
     # Sign search over the conjugate embeddings took 54 s for a non-square at
-    # d = 12 and more than 300 s at d = 16.
+    # d = 12 and more than 300 s at d = 16.  At N = 240 (g = 16) a Hensel
+    # lift per sign pattern took over 2 minutes for zeta*y^2, which passes
+    # Euler's test and leaves all 2^15 patterns to reject.
     rng = random.Random(97)
     start = time.perf_counter()
     # Each c is a non-square by conductor (8 does not divide 13, 28 not 32
     # nor 60, 8 not 105, 12 not 128); g = 4 at 60 and 105, g = 2 at 128.
+    # zeta is a non-square for even N.
     for n, c in ((13, 2), (32, 7), (60, 7), (105, 2), (128, 3)):
         F = make_field(n)
         y = _rand_elem(F, rng, 5)
         assert (c * y * y).sqrt() is None
         assert (y * y).sqrt() in (y, -y)
+    F = make_field(240)
+    y = _rand_elem(F, rng, 5)
+    assert (y * y).sqrt() in (y, -y)
+    assert (F.zeta() * y * y).sqrt() is None
     assert time.perf_counter() - start < 5.0
 
 
