@@ -51,6 +51,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from operator import mul
+from sys import hash_info as _HASH
 
 
 class FieldMismatchError(ValueError):
@@ -619,9 +620,12 @@ class FieldElement:
         # that value's hash.
         if not self.is_rational():
             return hash((self.field.order, self.num, self.den))
-        if self.den == 1:
-            return hash(self.num[0])
-        return hash(Fraction(self.num[0], self.den))
+        n, den, M = self.num[0], self.den, _HASH.modulus
+        if den == 1:
+            return hash(n)
+        # Fraction's rule on the coprime pair: |n|/den mod M, signed, -1 -> -2
+        h = hash(hash(abs(n)) * pow(den, -1, M)) if den % M else _HASH.inf
+        return h if n >= 0 else (-2 if h == 1 else -h)
 
     def __bool__(self):
         return not self.is_zero()

@@ -17,7 +17,8 @@ it.  _search_degree proves that no witness is lost and that P is the leaf's
 interpolant whenever either is a witness.  Equal cardinalities are the
 window {1}: linear_maps_between, equivalent, stabilizer and chi read the
 linear maps of A onto B off find_reductions.  Onto a 2-set {b0, b1} the
-mirror X -> b0 + b1 - X halves the tree.
+mirror X -> b0 + b1 - X halves the tree, and at the top degree m-1 the tree
+gives way to the kernel line of the Vandermonde matrix, read modulo p.
 
 successors walks the root data of a prospective witness (a support in A
 with multiplicities) depth-first up to degree (m-1)/2, which forces n >= 3.
@@ -243,11 +244,59 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
     fiber over b0 (no certificate needed), and every witness sending x_0 to b1
     is the mirror of one found.  Under first_only the witness is the full
     tree's first, which sends x_0 to b0 whenever any witness exists.
+
+    Onto a 2-set at gamma = m-1 no tree is walked (the generalized
+    Prouhet-Tarry-Escott problem).  Monic fibers F over b0 and G over b1 (a
+    leaf's mod p) differ by a constant, nonzero as they share no root, iff
+    x = (e on F's roots, -f on G's) solves sum x_a a^k = 0 for k < gamma
+    (Newton's identities, p > gamma): iff x is on the Vandermonde kernel
+    line x_a = 1/w'(a), w = prod(X - a).  With r_a = w'(x_0)/w'(a) mod p,
+    x = e0*r at e0 = e_{x_0}, and |x_a| <= gamma < p/2 makes x the symmetric
+    lift of e0*r.  So the e0 in 1..gamma whose lift has nonzero entries in
+    [-gamma, gamma] and positive part gamma are exactly the surviving
+    leaves, each certified as above.  If 2gamma^2 < p (split primes lie near
+    2^30), two kept lifts have e0'x = e0x' exactly and their positive parts
+    force e0 = e0': at most one is kept, so certificates and outputs are the
+    tree's.
     """
     field = A.field
     xs, targets = A.elems, B.elems
     m, nb = len(xs), len(targets)
     p, xr, br = residues
+    inverses = {}  # 1/prod(x_t - a)^e by (t, fiber indices, multiplicities)
+    out = []
+
+    def certify(assign: list, mults: list) -> None:
+        # P = b0 + c*prod(X - a)^e over x_0's fiber, c fixed by the first x_t outside
+        j0 = assign[0]
+        fiber = [i for i, j in enumerate(assign) if j == j0]
+        t = next(i for i, j in enumerate(assign) if j != j0)
+        roots = [(xs[i], e) for i, e in zip(fiber, mults)]
+        key = (t, tuple(fiber), tuple(mults))
+        if key not in inverses:
+            inverses[key] = reduce(mul, [(xs[t] - a) ** e for a, e in roots]).inverse()
+        b0 = targets[j0]
+        c = (targets[assign[t]] - b0) * inverses[key]
+        P = Poly.from_roots(field, roots) * c + Poly(field, [b0])
+        fibers = _fiber_certificate(P, A, B)
+        if fibers is not None:
+            out.append(Reduction(P, A, B, gamma, fibers))
+            if nb == 2 and not first_only:  # the mirror b0 + b1 - P
+                (b0, pre0), (b1, pre1) = fibers
+                out.append(Reduction(Poly(field, [b0 + b1]) - P, A, B, gamma,
+                                     ((b0, pre1), (b1, pre0))))
+
+    if nb == 2 and gamma == m - 1:  # the kernel line x = e0*r
+        dw = [reduce(mul, [y - x for x in xr if x != y]) for y in xr]
+        r = [dw[0] * pow(d, -1, p) % p for d in dw]
+        for e0 in range(1, m):
+            x = [(e0 * v + gamma) % p - gamma for v in r]  # in [-gamma, p - gamma)
+            if all(v and v <= gamma for v in x) and sum(v for v in x if v > 0) == gamma:
+                certify([int(v < 0) for v in x], [v for v in x if v > 0])
+                if first_only and out:
+                    break
+        return out
+
     k = gamma + 1  # free prefix; the remaining m - k values are forced
     W = [[1]]  # W[d] = prod_{t<d} (X - x_t) mod p, ascending
     for x in xr[:gamma]:
@@ -256,8 +305,6 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
     index = {b: j for j, b in enumerate(br)}
     counts = [0] * nb
     path = []  # target index of each free element
-    inverses = {}  # 1/prod(x_t - a)^e by (t, fiber indices, multiplicities)
-    out = []
 
     def rec(depth: int, poly: list) -> None:
         if first_only and out:
@@ -275,25 +322,8 @@ def _search_degree(A: FiniteSubset, B: FiniteSubset, gamma: int,
             for i, j in enumerate(assign):
                 groups[j].append(xr[i])
             mults = _fibers_full_mod_p(poly, zip(br, groups), p)
-            if mults is None:
-                return
-            j0 = assign[0]
-            fiber = [i for i, j in enumerate(assign) if j == j0]
-            roots = [(xs[i], e) for i, e in zip(fiber, mults[j0])]
-            t = next(i for i, j in enumerate(assign) if j != j0)
-            key = (t, tuple(fiber), tuple(mults[j0]))
-            if key not in inverses:
-                inverses[key] = reduce(mul, [(xs[t] - a) ** e for a, e in roots]).inverse()
-            b0 = targets[j0]
-            c = (targets[assign[t]] - b0) * inverses[key]
-            P = Poly.from_roots(field, roots) * c + Poly(field, [b0])
-            fibers = _fiber_certificate(P, A, B)
-            if fibers is not None:
-                out.append(Reduction(P, A, B, gamma, fibers))
-                if nb == 2 and not first_only:  # the mirror b0 + b1 - P
-                    (b0, pre0), (b1, pre1) = fibers
-                    out.append(Reduction(Poly(field, [b0 + b1]) - P, A, B, gamma,
-                                         ((b0, pre1), (b1, pre0))))
+            if mults is not None:
+                certify(assign, mults[assign[0]])
             return
         w, here = W[depth], _horner(poly, xr[depth], p)
         for j, v in enumerate(br if depth or nb != 2 else br[:1]):

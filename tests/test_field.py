@@ -514,6 +514,25 @@ def test_rational_elements_hash_like_their_values(F1, F12):
     assert 1 in {F12.one()} and F12.one() in {1}
 
 
+def test_rational_hash_follows_the_numeric_rule(F1, F12):
+    """The hash of p/q is computed from the coprime pair, not a Fraction, so
+    pin it to hash(Fraction(p, q)) over seeded pairs, negative numerators,
+    denominators divisible by the hash modulus and a hash of -1 (-> -2)."""
+    big = sys.hash_info.modulus
+    rng = random.Random(20261022)
+    dens = (lambda: rng.randint(2, 10 ** 6), lambda: rng.randint(2, 10 ** 30),
+            lambda: big, lambda: 3 * big)
+    pairs = [(rng.randint(-10 ** 25, 10 ** 25), rng.choice(dens)()) for _ in range(2000)]
+    pairs += [(1, big), (-1, big), (-7, 2 * big), (1, big * big), (-(big + 2), 2)]
+    for F in (F1, F12):
+        for p, q in pairs:
+            if Fraction(p, q).denominator == 1:
+                continue
+            el = F.from_rational(Fraction(p, q))
+            assert hash(el) == hash(Fraction(p, q)), (p, q)
+    assert hash(F12.from_rational(Fraction(-(big + 2), 2))) == -2
+
+
 def test_str_forms(F12):
     assert str(F12.zero()) == "0"
     assert str(F12.one()) == "1"

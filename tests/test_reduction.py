@@ -1,6 +1,7 @@
 """Reducibility: degree windows, certificates, searches, successors."""
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, count
 
@@ -188,16 +189,9 @@ def _signed_multiplicities(r):
     return tuple(x[a] for a in r.source.elems)
 
 
-def test_top_degree_pair_search_matches_closed_form(F1, F4, F12):
-    """The degree-(m-1) search onto {0, 1} finds no witness where the closed
-    form of the Vandermonde kernel has none, and otherwise exactly the
-    witness with signed multiplicities x and its mirror with -x, at sizes
-    reduction_oracle_q cannot reach."""
-    F = Poly.from_roots(F1, [(1, 2), (4, 1)])
-    G = Poly.from_roots(F1, [(0, 1), (3, 2)])
-    assert F - G == Poly(F1, [-4])  # {0, 1, 3, 4}: 0-fiber G, 1-fiber F
-    assert top_degree_pair_oracle(_fs(F1, [0, 1, 3, 4])) == [(1, -2, 2, -1),
-                                                              (-1, 2, -2, 1)]
+def _top_degree_cases(F1, F4, F12):
+    """133 sets for the top-degree 2-set search: progressions, {0, 1, 3, 4},
+    seeded integer sets and roots of unity with and without 0."""
     rng = random.Random(20261021)
     cases = []
     for field in (F1, F4, F12):
@@ -208,6 +202,20 @@ def test_top_degree_pair_search_matches_closed_form(F1, F4, F12):
     for N, d in ((3, 3), (4, 4), (8, 8), (12, 6), (12, 12)):
         mu = roots_of_unity(make_field(N), d)
         cases += [mu, FiniteSubset(mu.field, [0, *mu.elems])]
+    return cases
+
+
+def test_top_degree_pair_search_matches_closed_form(F1, F4, F12):
+    """The degree-(m-1) search onto {0, 1} finds no witness where the closed
+    form of the Vandermonde kernel has none, and otherwise exactly the
+    witness with signed multiplicities x and its mirror with -x, at sizes
+    reduction_oracle_q cannot reach."""
+    F = Poly.from_roots(F1, [(1, 2), (4, 1)])
+    G = Poly.from_roots(F1, [(0, 1), (3, 2)])
+    assert F - G == Poly(F1, [-4])  # {0, 1, 3, 4}: 0-fiber G, 1-fiber F
+    assert top_degree_pair_oracle(_fs(F1, [0, 1, 3, 4])) == [(1, -2, 2, -1),
+                                                              (-1, 2, -2, 1)]
+    cases = _top_degree_cases(F1, F4, F12)
     witnessed = 0
     for A in cases:
         pair = FiniteSubset(A.field, [0, 1])
@@ -216,6 +224,72 @@ def test_top_degree_pair_search_matches_closed_form(F1, F4, F12):
         assert sorted(map(_signed_multiplicities, found)) == sorted(want), A
         witnessed += bool(want)
     assert len(cases) == 133 and witnessed == 18
+
+
+def test_top_degree_pair_first_only(F1, F4, F12):
+    """On the 18 sets with a top-degree witness onto {0, 1}, first_only keeps
+    the witness that sends min A to 0: at the top degree it is the member of
+    the full list whose fiber over 0 holds min A, and find_reductions returns
+    the member of its full list of least degree with that fiber."""
+    witnessed = 0
+    for A in _top_degree_cases(F1, F4, F12):
+        pair = FiniteSubset(A.field, [0, 1])
+        res = _split_residues(A, pair)
+        full = _search_degree(A, pair, len(A) - 1, False, res)
+        if not full:
+            continue
+        witnessed += 1
+        first = _search_degree(A, pair, len(A) - 1, True, res)
+        assert first == [r for r in full if A.elems[0] in dict(r.fibers[0][1])], A
+        every = find_reductions(A, pair)
+        (got,) = find_reductions(A, pair, first_only=True)
+        low = [r for r in every if r.gamma == every[0].gamma
+               and A.elems[0] in dict(r.fibers[0][1])]
+        assert low == [got], A
+    assert witnessed == 18
+
+
+def test_top_degree_pair_search_at_scale(F1, F4):
+    """The top-degree search onto {0, 1} reads the Vandermonde kernel line,
+    so {0..m-1} for m = 16..24 and a seeded rational 16-set are decided in
+    well under a second (the 2^(m-1)-leaf tree took 1.45 s at m = 16 alone),
+    and agree with the closed form."""
+    cases = [_fs(F4, range(m)) for m in range(16, 25)]
+    cases.append(rand_rational_set(F1, random.Random(16), 16))
+    start = time.process_time()
+    for A in cases:
+        pair = FiniteSubset(A.field, [0, 1])
+        found = _search_degree(A, pair, len(A) - 1, False, _split_residues(A, pair))
+        assert sorted(map(_signed_multiplicities, found)) == sorted(
+            top_degree_pair_oracle(A)), A
+    assert time.process_time() - start < 1.0
+
+
+def test_top_degree_pair_with_a_double_least_element():
+    """The points 2*zeta*cos(k*pi/8), k = 0..8, in Q(zeta_16) are a preimage
+    of a 2-set under a scaled Chebyshev T_8, and their least element is a
+    double point: the kernel line is kept at e0 = 2, where every set of
+    _top_degree_cases keeps e0 = 1."""
+    F = make_field(16)
+    z = F.zeta()
+    A = FiniteSubset(F, [z ** ((1 + k) % 16) + z ** ((1 - k) % 16) for k in range(9)])
+    pair = FiniteSubset(F, [0, 1])
+    found = _search_degree(A, pair, 8, False, _split_residues(A, pair))
+    assert sorted(map(_signed_multiplicities, found)) == sorted(top_degree_pair_oracle(A))
+    assert [dict(r.fibers[0][1]).get(A.elems[0]) for r in found] == [2, None]
+    assert _search_degree(A, pair, 8, True, _split_residues(A, pair)) == found[:1]
+
+
+def test_progressions_reach_a_pair_at_the_top_degree_only_at_3(F1):
+    """{0..m-1} has r_a = (-1)^a C(m-1, a) on the kernel line, whose positive
+    entries sum to 2^(m-2); x_0 = (m-1)/2^(m-2) must be an integer, so only
+    m = 3 reaches a 2-set at degree m - 1."""
+    for m in range(3, 41):
+        A = _fs(F1, range(m))
+        pair = FiniteSubset(F1, [0, 1])
+        found = _search_degree(A, pair, m - 1, False, _split_residues(A, pair))
+        assert len(found) == (2 if m == 3 else 0), m
+        assert bool(found) == ((m - 1) % 2 ** (m - 2) == 0)
 
 def test_bad_split_prime_moves_to_next(F4):
     """Pairs that are bad at the first split prime p0 of Q(zeta_4) are
